@@ -9,13 +9,11 @@ queue-driven near-optimal ones), a slot-loop harness with parameter sweeps,
 and a command line front end.
 """
 
-from wptsim.linalg import EigenPair, gram, hermitianize, max_eigpair, quad_form, weighted_combine
+from wptsim.linalg import EigenPair, grams, max_eigpair, quad_form, weighted_combine
 from wptsim.channel import (
     ScenarioConfig,
-    SlotChannels,
     evaluation_rng,
     warmup_rng,
-    sample_slot,
     sample_slot_block,
     empirical_gain_spectrum,
 )
@@ -25,10 +23,9 @@ from wptsim.threshold import (
     InfeasibleTargetError,
     solve_energy_threshold,
     solve_power_threshold,
-    save_spectrum,
-    load_spectrum,
 )
 from wptsim.policies import (
+    POLICIES,
     POLICY_KINDS,
     PolicyParams,
     QueueState,
@@ -36,12 +33,6 @@ from wptsim.policies import (
     init_queue_state,
     default_v,
     gap_bound_const,
-    step_optimal_energy,
-    step_mdpp_energy,
-    step_optimal_power,
-    step_mdpp_power,
-    step_mmf,
-    step_qpf,
 )
 from wptsim.harness import RunSummary, SweepSpec, run, sweep
 from wptsim.config import (
@@ -49,7 +40,6 @@ from wptsim.config import (
     Experiment,
     load_preset,
     load_experiment_file,
-    parse_config,
     preset_names,
     serialize_experiment,
 )
@@ -58,16 +48,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EigenPair",
-    "gram",
-    "hermitianize",
+    "grams",
     "max_eigpair",
     "quad_form",
     "weighted_combine",
     "ScenarioConfig",
-    "SlotChannels",
     "evaluation_rng",
     "warmup_rng",
-    "sample_slot",
     "sample_slot_block",
     "empirical_gain_spectrum",
     "EmpiricalSpectrum",
@@ -75,8 +62,7 @@ __all__ = [
     "InfeasibleTargetError",
     "solve_energy_threshold",
     "solve_power_threshold",
-    "save_spectrum",
-    "load_spectrum",
+    "POLICIES",
     "POLICY_KINDS",
     "PolicyParams",
     "QueueState",
@@ -84,12 +70,6 @@ __all__ = [
     "init_queue_state",
     "default_v",
     "gap_bound_const",
-    "step_optimal_energy",
-    "step_mdpp_energy",
-    "step_optimal_power",
-    "step_mdpp_power",
-    "step_mmf",
-    "step_qpf",
     "RunSummary",
     "SweepSpec",
     "run",
@@ -98,7 +78,6 @@ __all__ = [
     "Experiment",
     "load_preset",
     "load_experiment_file",
-    "parse_config",
     "preset_names",
     "serialize_experiment",
     "__version__",

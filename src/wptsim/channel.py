@@ -23,10 +23,12 @@ used for threshold estimation) are disjoint by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
+
+from wptsim.linalg import grams
+from wptsim.threshold import EmpiricalSpectrum
 
 KAPPA_LOS_LIMIT = 1e12
 
@@ -111,14 +113,6 @@ class ScenarioConfig:
         }
 
 
-@dataclass
-class SlotChannels:
-    """Channel matrices of all receivers for one slot."""
-
-    slot_index: int
-    channels: list = field(default_factory=list)
-
-
 def _stream(seed: int, key: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(key,))
     return np.random.Generator(np.random.Philox(ss))
@@ -165,19 +159,11 @@ def _unit_fading_block(cfg: ScenarioConfig, rng: np.random.Generator, count: int
 def sample_slot_block(cfg: ScenarioConfig, rng: np.random.Generator, count: int) -> np.ndarray:
     """Sample `count` consecutive slots, shape (count, K, M, N).
 
-    Consumes the stream exactly as `count` successive sample_slot calls would,
-    so chunked and slot-by-slot sampling yield bit-identical sequences.
+    Consumes the stream slot by slot, so sampling in chunks or one slot at a
+    time (count=1) yields bit-identical sequences.
     """
     amp = np.sqrt(cfg.gains())
     return amp[None, :, None, None] * _unit_fading_block(cfg, rng, count)
-
-
-def sample_slot(cfg: ScenarioConfig, rng: np.random.Generator, slot_index: int) -> SlotChannels:
-    """Sample the channel matrices of one slot from the given stream."""
-    if slot_index < 0:
-        raise ValueError(f"slot_index must be >= 0, got {slot_index}")
-    block = sample_slot_block(cfg, rng, 1)
-    return SlotChannels(slot_index, [block[0, i] for i in range(cfg.n_receivers)])
 
 
 def empirical_gain_spectrum(cfg, combine_rule: str, n_samples: int, rng, chunk: int = 4096):
@@ -188,24 +174,20 @@ def empirical_gain_spectrum(cfg, combine_rule: str, n_samples: int, rng, chunk: 
     the eigenvalue computation and multiplied back in, so scaling it rescales
     every sample exactly.
     """
-    from wptsim.threshold import EmpiricalSpectrum
-
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     if combine_rule not in ("single", "sum"):
         raise ValueError(f"combine_rule must be 'single' or 'sum', got {combine_rule!r}")
     rel = cfg.distances() ** (-cfg.pathloss_exponent)
+    amp = np.sqrt(rel[:1] if combine_rule == "single" else rel)[:, None, None]
     samples = np.empty(n_samples, dtype=np.float64)
     done = 0
     while done < n_samples:
         take = min(chunk, n_samples - done)
-        h = _unit_fading_block(cfg, rng, take)  # unit gain, (take, K, M, N)
-        if combine_rule == "single":
-            hh = math.sqrt(rel[0]) * h[:, 0]
-            w = np.einsum("lmn,lmp->lnp", hh.conj(), hh)
-        else:
-            w = np.einsum("k,lkmn,lkmp->lnp", rel, h.conj(), h)
-        w = 0.5 * (w + np.conj(np.swapaxes(w, 1, 2)))
+        h = _unit_fading_block(cfg, rng, take)[:, : amp.shape[0]]  # unit gain, (take, K, M, N)
+        h *= amp  # in place: a scaled copy would raise the peak memory by one block
+        # sum_i W_i is the Gram of the receivers' channels stacked row-wise
+        w = grams(h.reshape(take, -1, cfg.n_tx))
         samples[done : done + take] = cfg.reference_gain * np.linalg.eigvalsh(w)[:, -1]
         done += take
     return EmpiricalSpectrum(np.sort(samples))

@@ -8,8 +8,10 @@ Subcommands:
 
 Output is plot-ready CSV (default) or JSON lines. Every file embeds the
 complete effective configuration: CSV files start with a '#'-prefixed
-metadata block, JSON-lines files with one meta object. The WPTSIM_OUT
-environment variable overrides the default output directory.
+metadata block, JSON-lines files with one meta object. JSON is strict
+RFC 8259: a non-finite float (sum_log_received is -inf when a receiver
+harvests nothing) is written as null. The WPTSIM_OUT environment variable
+overrides the default output directory.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -30,18 +33,10 @@ from wptsim.config import (
     preset_names,
 )
 from wptsim.harness import run, sweep
+from wptsim.policies import POLICIES, QUEUE_DRIVEN_KINDS
 from wptsim.threshold import InfeasibleTargetError
 
 OUT_ENV_VAR = "WPTSIM_OUT"
-
-# each queue-driven policy's optimality reference and the summary column
-# the gap is measured on
-_COMPARE = {
-    "mdpp-energy": ("optimal-energy", "avg_transmit_power"),
-    "mdpp-power": ("optimal-power", "total_received"),
-    "mmf": ("optimal-power", "total_received"),
-    "qpf": ("optimal-power", "total_received"),
-}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -100,6 +95,15 @@ def _out_path(args, exp: Experiment) -> str:
     return os.path.join(directory, f"{args.command}-{exp.name}.{ext}")
 
 
+def _finite(value):
+    """value with every non-finite float replaced by None: RFC 8259 JSON has no NaN or Infinity."""
+    if isinstance(value, dict):
+        return {key: _finite(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _write_rows(path: str, rows: list, meta: dict, fmt: str) -> None:
     fields = []
     for row in rows:
@@ -108,12 +112,12 @@ def _write_rows(path: str, rows: list, meta: dict, fmt: str) -> None:
                 fields.append(key)
     if fmt == "jsonlines":
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps({"meta": meta}) + "\n")
+            fh.write(json.dumps(_finite({"meta": meta}), allow_nan=False) + "\n")
             for row in rows:
-                fh.write(json.dumps(row) + "\n")
+                fh.write(json.dumps(_finite(row), allow_nan=False) + "\n")
         return
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        meta_text = json.dumps(meta, indent=1)
+        meta_text = json.dumps(_finite(meta), indent=1, allow_nan=False)
         for line in meta_text.splitlines():
             fh.write(f"# {line}\n")
         writer = csv.DictWriter(fh, fieldnames=fields, restval="")
@@ -126,8 +130,7 @@ def _seeds(exp: Experiment, reps) -> list:
     return [exp.scenario.seed + r for r in range(count)]
 
 
-def cmd_run(args) -> str:
-    exp = _load(args)
+def cmd_run(args, exp: Experiment) -> list:
     rows = []
     for rep, seed in enumerate(_seeds(exp, args.reps)):
         cfg = replace(exp.scenario, seed=seed)
@@ -136,31 +139,24 @@ def cmd_run(args) -> str:
             row = summary.to_row()
             row["rep"] = rep
             rows.append(row)
-    path = _out_path(args, exp)
-    _write_rows(path, rows, _meta(exp), args.format)
-    return path
+    return rows
 
 
-def cmd_sweep(args) -> str:
-    exp = _load(args)
+def cmd_sweep(args, exp: Experiment) -> list:
     if exp.sweep is None:
         raise ConfigError("sweep: the experiment defines no sweep section")
-    rows = sweep(exp.scenario, exp.params, exp.sweep, exp.kinds)
-    path = _out_path(args, exp)
-    _write_rows(path, rows, _meta(exp), args.format)
-    return path
+    return sweep(exp.scenario, exp.params, exp.sweep, exp.kinds)
 
 
-def cmd_compare(args) -> str:
-    exp = _load(args)
-    mdpp_kinds = [k for k in exp.kinds if k in _COMPARE]
-    if not mdpp_kinds:
+def cmd_compare(args, exp: Experiment) -> list:
+    queue_kinds = [k for k in exp.kinds if k in QUEUE_DRIVEN_KINDS]
+    if not queue_kinds:
         raise ConfigError(
             "policy.kind: compare needs a queue-driven policy "
-            f"(one of {', '.join(sorted(_COMPARE))})"
+            f"(one of {', '.join(QUEUE_DRIVEN_KINDS)})"
         )
-    kind = mdpp_kinds[0]
-    reference, metric = _COMPARE[kind]
+    kind = queue_kinds[0]
+    reference, metric = POLICIES[kind].compare
     rows = []
     for rep, seed in enumerate(_seeds(exp, args.reps)):
         cfg = replace(exp.scenario, seed=seed)
@@ -174,9 +170,7 @@ def cmd_compare(args) -> str:
                 row["gap"] = getattr(near, metric) - getattr(opt, metric)
                 row["b_over_v"] = near.gap_bound / near.v
             rows.append(row)
-    path = _out_path(args, exp)
-    _write_rows(path, rows, _meta(exp), args.format)
-    return path
+    return rows
 
 
 def _meta(exp: Experiment) -> dict:
@@ -193,7 +187,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler = {"run": cmd_run, "sweep": cmd_sweep, "compare": cmd_compare}[args.command]
     try:
-        path = handler(args)
+        exp = _load(args)
+        rows = handler(args, exp)
+        path = _out_path(args, exp)
+        _write_rows(path, rows, _meta(exp), args.format)
     except (ConfigError, InfeasibleTargetError, ValueError, ArithmeticError, OSError) as err:
         print(f"wptsim {args.command}: error: {err}", file=sys.stderr)
         return 1

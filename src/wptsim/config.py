@@ -15,7 +15,7 @@ key cannot silently invalidate an experiment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import yaml
@@ -29,20 +29,8 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending key path."""
 
 
-_SCENARIO_KEYS = (
-    "n_tx",
-    "n_rx",
-    "positions",
-    "ap_position",
-    "rician_kappa",
-    "pathloss_exponent",
-    "reference_gain",
-    "efficiency",
-    "slots",
-    "seed",
-    "los_mode",
-)
-_POLICY_KEYS = ("kind", "p_peak", "v", "p_avg", "p_targets", "p_min")
+_SCENARIO_KEYS = tuple(f.name for f in fields(ScenarioConfig))
+_POLICY_KEYS = ("kind",) + tuple(f.name for f in fields(PolicyParams))
 _SWEEP_KEYS = ("parameter", "values", "repetitions")
 
 # the reference two-receiver desk topology: access point at the origin,
@@ -260,44 +248,20 @@ def load_experiment_file(path: str) -> Experiment:
     return experiment_from_mapping(data, name="custom")
 
 
-def parse_config(path: str):
-    """Parse one config file into (ScenarioConfig, PolicyParams, policy_kind).
-
-    Multi-policy experiments report their first policy kind here; the full
-    tuple lives on the Experiment returned by load_experiment_file.
-    """
-    exp = load_experiment_file(path)
-    return exp.scenario, exp.params, exp.kinds[0]
-
-
 def experiment_to_mapping(exp: Experiment) -> dict:
     """Full effective config, every default echoed explicitly."""
     cfg = exp.scenario
     data = {
         "scenario": {
-            "n_tx": cfg.n_tx,
-            "n_rx": cfg.n_rx,
+            **asdict(cfg),
             "positions": [list(p) for p in cfg.positions],
             "ap_position": list(cfg.ap_position),
-            "rician_kappa": cfg.rician_kappa,
-            "pathloss_exponent": cfg.pathloss_exponent,
-            "reference_gain": cfg.reference_gain,
-            "efficiency": cfg.efficiency,
-            "slots": cfg.slots,
-            "seed": cfg.seed,
-            "los_mode": cfg.los_mode,
         },
         "policy": {
             "kind": exp.kinds[0] if len(exp.kinds) == 1 else list(exp.kinds),
-            "p_peak": exp.params.p_peak,
+            **{k: list(v) if isinstance(v, tuple) else v for k, v in asdict(exp.params).items() if v is not None},
         },
     }
-    for field in ("v", "p_avg", "p_min"):
-        val = getattr(exp.params, field)
-        if val is not None:
-            data["policy"][field] = val
-    if exp.params.p_targets is not None:
-        data["policy"]["p_targets"] = list(exp.params.p_targets)
     if exp.sweep is not None:
         data["sweep"] = {
             "parameter": exp.sweep.parameter,

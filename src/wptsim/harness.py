@@ -31,14 +31,15 @@ from wptsim.channel import (
     sample_slot_block,
     warmup_rng,
 )
+from wptsim.linalg import grams
 from wptsim.policies import (
-    POLICY_KINDS,
     QUEUE_DRIVEN_KINDS,
     PolicyParams,
     core_step,
     default_v,
     gap_bound_const,
     init_queue_state,
+    policy_spec,
     validate_params_for,
     _core_optimal_energy,
     _core_optimal_power,
@@ -166,17 +167,12 @@ def run(
     warmup_samples: int = WARMUP_SAMPLES,
 ) -> RunSummary:
     """Simulate one policy for cfg.slots slots; deterministic in (cfg, params)."""
-    if policy_kind not in POLICY_KINDS:
-        raise ValueError(f"unknown policy kind {policy_kind!r}; expected one of {POLICY_KINDS}")
+    queue_driven = policy_spec(policy_kind).queues is not None
     k = cfg.n_receivers
     params = resolve_params(cfg, params, policy_kind)
     validate_params_for(policy_kind, params, k)
 
-    threshold = None
-    if policy_kind in ("optimal-energy", "optimal-power"):
-        threshold = estimate_threshold(cfg, params, policy_kind, warmup_samples)
-
-    queue_driven = policy_kind in QUEUE_DRIVEN_KINDS
+    threshold = None if queue_driven else estimate_threshold(cfg, params, policy_kind, warmup_samples)
     state = init_queue_state(policy_kind, k) if queue_driven else None
     eff = cfg.efficiency
 
@@ -189,9 +185,7 @@ def run(
     done = 0
     while done < cfg.slots:
         take = min(_CHUNK, cfg.slots - done)
-        block = sample_slot_block(cfg, rng, take)
-        ws_block = np.einsum("lkmn,lkmp->lknp", block.conj(), block)
-        ws_block = 0.5 * (ws_block + np.conj(np.swapaxes(ws_block, 2, 3)))
+        ws_block = grams(sample_slot_block(cfg, rng, take))
         for j in range(take):
             ws = ws_block[j]
             if queue_driven:

@@ -27,23 +27,22 @@ class EigenPair(NamedTuple):
     vector: np.ndarray
 
 
-def hermitianize(a: np.ndarray) -> np.ndarray:
-    """Average a square matrix with its conjugate transpose.
+def grams(h: np.ndarray) -> np.ndarray:
+    """Gram matrices H^H H over the last two axes: (..., M, N) -> (..., N, N).
 
-    For inputs that are Hermitian up to round-off this kills the drift exactly:
-    the result satisfies out[j, k] == conj(out[k, j]) bit-for-bit.
+    Each Gram is averaged with its conjugate transpose, which kills the
+    round-off drift exactly: out[..., j, k] == conj(out[..., k, j]) bit for bit.
+    The average is taken out of place on purpose: the memory layout of its
+    result feeds the rounding of every per-slot policy step, so an in-place
+    form moves run summaries in their last bits.
     """
-    return 0.5 * (a + a.conj().T)
-
-
-def gram(h: np.ndarray) -> np.ndarray:
-    """Gram matrix H^H H of an M x N channel matrix (Hermitian PSD, N x N)."""
     h = np.asarray(h, dtype=np.complex128)
-    if h.ndim != 2:
-        raise ValueError(f"channel matrix must be 2-D, got shape {h.shape}")
-    if not np.all(np.isfinite(h.view(np.float64))):
+    if h.ndim < 2:
+        raise ValueError(f"channel matrices must be at least 2-D, got shape {h.shape}")
+    if not np.all(np.isfinite(h)):
         raise ValueError("channel matrix has non-finite entries")
-    return hermitianize(h.conj().T @ h)
+    w = np.einsum("...mn,...mp->...np", h.conj(), h)
+    return 0.5 * (w + np.conj(np.swapaxes(w, -1, -2)))
 
 
 def weighted_combine(
@@ -69,7 +68,7 @@ def weighted_combine(
     out = np.tensordot(w, g, axes=1)
     n = out.shape[0]
     out[np.arange(n), np.arange(n)] -= shift
-    return hermitianize(out)
+    return 0.5 * (out + out.conj().T)
 
 
 def max_eigpair(w: np.ndarray) -> EigenPair:

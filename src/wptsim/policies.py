@@ -26,30 +26,21 @@ exactly zero the beam contributes nothing to the weighted objective, and the
 policies stay silent. Beam amplitude is sqrt(p_peak), so transmit power is
 exactly p_peak. Queue updates are Z <- max(Z + deficit, 0); each decision
 exposes the per-queue deficits so a drift bound can be checked externally.
+
+Each kind's per-slot step, needed parameters, queue sizes and optimal
+reference live in its PolicySpec entry of POLICIES; the calibrated default
+V formulas live in default_v.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
-from wptsim.channel import ScenarioConfig, SlotChannels
-from wptsim.linalg import gram, max_eigpair, weighted_combine
-from wptsim.threshold import ThresholdValue
-
-POLICY_KINDS = (
-    "optimal-energy",
-    "mdpp-energy",
-    "optimal-power",
-    "mdpp-power",
-    "mmf",
-    "qpf",
-)
-
-QUEUE_DRIVEN_KINDS = ("mdpp-energy", "mdpp-power", "mmf", "qpf")
-POWER_LIMITED_KINDS = ("optimal-power", "mdpp-power", "mmf", "qpf")
+from wptsim.channel import ScenarioConfig
+from wptsim.linalg import max_eigpair, weighted_combine
 
 
 @dataclass
@@ -77,23 +68,6 @@ class PolicyParams:
             raise ValueError(f"p_min must be >= 0, got {self.p_min}")
 
 
-def validate_params_for(kind: str, params: PolicyParams, n_receivers: int) -> None:
-    """Check that the fields a policy relies on are present and consistent."""
-    if kind not in POLICY_KINDS:
-        raise ValueError(f"unknown policy kind {kind!r}; expected one of {POLICY_KINDS}")
-    if kind in QUEUE_DRIVEN_KINDS and params.v is None:
-        raise ValueError(f"{kind} needs the control parameter v")
-    if kind in ("optimal-energy", "mdpp-energy"):
-        if params.p_targets is None or len(params.p_targets) != n_receivers:
-            raise ValueError(f"{kind} needs one delivery target per receiver")
-    if kind in POWER_LIMITED_KINDS and params.p_avg is None:
-        raise ValueError(f"{kind} needs the average power budget p_avg")
-    if kind == "qpf" and params.p_min is None:
-        raise ValueError("qpf needs the QoS floor p_min")
-    if kind == "optimal-energy" and n_receivers != 1:
-        raise ValueError("optimal-energy is single-receiver only")
-
-
 @dataclass
 class QueueState:
     """Virtual queues of one policy instance (watt-slots) plus current targets."""
@@ -108,21 +82,6 @@ class QueueState:
         self.gamma = np.asarray(self.gamma, dtype=np.float64)
         if np.any(self.z < 0.0) or np.any(self.g < 0.0):
             raise ValueError("queue values must be nonnegative")
-
-
-def init_queue_state(kind: str, n_receivers: int) -> QueueState:
-    """All-zero queues, sized for the given policy."""
-    k = n_receivers
-    sizes = {
-        "mdpp-energy": (k, 0, 0),
-        "mdpp-power": (1, 0, 0),
-        "mmf": (1, k, k),
-        "qpf": (k + 1, k, k),
-    }
-    if kind not in sizes:
-        raise ValueError(f"policy {kind!r} keeps no queue state")
-    nz, ng, ngam = sizes[kind]
-    return QueueState(np.zeros(nz), np.zeros(ng), np.zeros(ngam))
 
 
 @dataclass
@@ -140,17 +99,17 @@ class SlotDecision:
     deficits: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
-def _grams(channels: SlotChannels) -> np.ndarray:
-    return np.stack([gram(h) for h in channels.channels])
-
-
 def _received(ws: np.ndarray, beam: np.ndarray, efficiency: float) -> np.ndarray:
     """Per-receiver harvested power zeta * beam^H W_i beam."""
     return efficiency * np.einsum("n,knm,m->k", beam.conj(), ws, beam).real
 
 
-def _silent(n_tx: int, k: int) -> tuple:
-    return np.zeros(n_tx, dtype=np.complex128), 0.0, np.zeros(k)
+def _two_level(pair, on, p_peak, ws, efficiency) -> tuple:
+    """(beam, power, received): peak power along the top eigenvector if on, else silence."""
+    if on:
+        beam = np.sqrt(p_peak) * pair.vector
+        return beam, p_peak, _received(ws, beam, efficiency)
+    return np.zeros(ws.shape[1], dtype=np.complex128), 0.0, np.zeros(ws.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -159,124 +118,49 @@ def _silent(n_tx: int, k: int) -> tuple:
 
 def _core_optimal_energy(params, threshold, ws, efficiency):
     pair = max_eigpair(ws[0])
-    if pair.value >= threshold.lambda_th:
-        beam = np.sqrt(params.p_peak) * pair.vector
-        recv = _received(ws, beam, efficiency)
-        return SlotDecision(beam, params.p_peak, recv)
-    beam, power, recv = _silent(ws.shape[1], 1)
-    return SlotDecision(beam, power, recv)
-
-
-def step_optimal_energy(
-    cfg: ScenarioConfig,
-    params: PolicyParams,
-    threshold: ThresholdValue,
-    channels: SlotChannels,
-) -> SlotDecision:
-    """Single-receiver threshold policy for the energy-limited objective."""
-    if len(channels.channels) != 1:
-        raise ValueError("optimal-energy is single-receiver only")
-    return _core_optimal_energy(params, threshold, _grams(channels), cfg.efficiency)
+    return SlotDecision(*_two_level(pair, pair.value >= threshold.lambda_th, params.p_peak, ws, efficiency))
 
 
 def _core_optimal_power(params, threshold, ws, efficiency):
-    combined = weighted_combine(np.ones(ws.shape[0]), ws, 0.0)
-    pair = max_eigpair(combined)
-    if pair.value >= threshold.lambda_th:
-        beam = np.sqrt(params.p_peak) * pair.vector
-        recv = _received(ws, beam, efficiency)
-        return SlotDecision(beam, params.p_peak, recv)
-    beam, power, recv = _silent(ws.shape[1], ws.shape[0])
-    return SlotDecision(beam, power, recv)
-
-
-def step_optimal_power(
-    params: PolicyParams,
-    threshold: ThresholdValue,
-    channels: SlotChannels,
-    efficiency: float = 1.0,
-) -> SlotDecision:
-    """Threshold policy on the summed Grams for the power-limited objective."""
-    return _core_optimal_power(params, threshold, _grams(channels), efficiency)
+    pair = max_eigpair(weighted_combine(np.ones(ws.shape[0]), ws, 0.0))
+    return SlotDecision(*_two_level(pair, pair.value >= threshold.lambda_th, params.p_peak, ws, efficiency))
 
 
 # ---------------------------------------------------------------------------
 # queue-driven policies
 
 
-def _two_level(w_prime, p_peak, ws, efficiency):
-    """Transmit at peak power iff the top eigenvalue is strictly positive."""
-    pair = max_eigpair(w_prime)
-    if pair.value > 0.0:
-        beam = np.sqrt(p_peak) * pair.vector
-        recv = _received(ws, beam, efficiency)
-        return beam, p_peak, recv
-    return _silent(ws.shape[1], ws.shape[0])
-
-
 def _core_mdpp_energy(state, params, ws, efficiency):
-    w_prime = weighted_combine(state.z, ws, shift=params.v)
-    beam, power, recv = _two_level(w_prime, params.p_peak, ws, efficiency)
+    pair = max_eigpair(weighted_combine(state.z, ws, shift=params.v))
+    beam, power, recv = _two_level(pair, pair.value > 0.0, params.p_peak, ws, efficiency)
     deficits = np.asarray(params.p_targets) - recv
     new_z = np.maximum(state.z + deficits, 0.0)
     dec = SlotDecision(beam, power, recv, deficits)
     return dec, QueueState(new_z, state.g, state.gamma)
 
 
-def step_mdpp_energy(
-    state: QueueState,
-    params: PolicyParams,
-    channels: SlotChannels,
-    efficiency: float = 1.0,
-) -> tuple:
-    """Queue-driven policy meeting per-receiver delivery targets at minimum
-    average transmit power."""
-    return _core_mdpp_energy(state, params, _grams(channels), efficiency)
-
-
 def _core_mdpp_power(state, params, ws, efficiency):
     k = ws.shape[0]
-    w_prime = weighted_combine(np.full(k, params.v), ws, shift=state.z[0])
-    beam, power, recv = _two_level(w_prime, params.p_peak, ws, efficiency)
+    pair = max_eigpair(weighted_combine(np.full(k, params.v), ws, shift=state.z[0]))
+    beam, power, recv = _two_level(pair, pair.value > 0.0, params.p_peak, ws, efficiency)
     deficit = power - params.p_avg
     new_z = np.maximum(state.z + deficit, 0.0)
     dec = SlotDecision(beam, power, recv, np.array([deficit]))
     return dec, QueueState(new_z, state.g, state.gamma)
 
 
-def step_mdpp_power(
-    state: QueueState,
-    params: PolicyParams,
-    channels: SlotChannels,
-    efficiency: float = 1.0,
-) -> tuple:
-    """Queue-driven policy maximizing total received power under an average
-    transmit-power budget."""
-    return _core_mdpp_power(state, params, _grams(channels), efficiency)
-
-
 def _core_mmf(state, params, ws, efficiency):
     k = ws.shape[0]
     gamma_on = params.v > float(np.sum(state.g))
     gamma = np.full(k, params.p_peak if gamma_on else 0.0)
-    w_prime = weighted_combine(state.g, ws, shift=state.z[0])
-    beam, power, recv = _two_level(w_prime, params.p_peak, ws, efficiency)
+    pair = max_eigpair(weighted_combine(state.g, ws, shift=state.z[0]))
+    beam, power, recv = _two_level(pair, pair.value > 0.0, params.p_peak, ws, efficiency)
     z_deficit = power - params.p_avg
     g_deficits = gamma - recv
     new_z = np.maximum(state.z + z_deficit, 0.0)
     new_g = np.maximum(state.g + g_deficits, 0.0)
     dec = SlotDecision(beam, power, recv, np.concatenate(([z_deficit], g_deficits)))
     return dec, QueueState(new_z, new_g, gamma)
-
-
-def step_mmf(
-    state: QueueState,
-    params: PolicyParams,
-    channels: SlotChannels,
-    efficiency: float = 1.0,
-) -> tuple:
-    """Max-min fair policy under an average transmit-power budget."""
-    return _core_mmf(state, params, _grams(channels), efficiency)
 
 
 def _core_qpf(state, params, ws, efficiency):
@@ -286,8 +170,8 @@ def _core_qpf(state, params, ws, efficiency):
     gamma = np.full(k, params.p_peak)
     pos = g > 0.0
     gamma[pos] = np.minimum(params.v / g[pos], params.p_peak)
-    w_prime = weighted_combine(state.z[:k] + g, ws, shift=state.z[k])
-    beam, power, recv = _two_level(w_prime, params.p_peak, ws, efficiency)
+    pair = max_eigpair(weighted_combine(state.z[:k] + g, ws, shift=state.z[k]))
+    beam, power, recv = _two_level(pair, pair.value > 0.0, params.p_peak, ws, efficiency)
     floor_deficits = params.p_min - recv
     budget_deficit = power - params.p_avg
     g_deficits = gamma - recv
@@ -297,44 +181,96 @@ def _core_qpf(state, params, ws, efficiency):
     return dec, QueueState(new_z, new_g, gamma)
 
 
-def step_qpf(
-    state: QueueState,
-    params: PolicyParams,
-    channels: SlotChannels,
-    efficiency: float = 1.0,
-) -> tuple:
-    """Proportionally fair policy with a per-receiver QoS floor under an
-    average transmit-power budget."""
-    return _core_qpf(state, params, _grams(channels), efficiency)
+# ---------------------------------------------------------------------------
+# the registry of policy kinds
 
 
-_CORES = {
-    "mdpp-energy": _core_mdpp_energy,
-    "mdpp-power": _core_mdpp_power,
-    "mmf": _core_mmf,
-    "qpf": _core_qpf,
+@dataclass(frozen=True)
+class PolicySpec:
+    """The facts that set one policy kind apart from the others.
+
+    step advances one slot on the slot's channel Grams ws, shape (K, N, N):
+    step(params, threshold, ws, efficiency) -> SlotDecision for the stateless
+    threshold kinds, step(state, params, ws, efficiency) -> (SlotDecision,
+    QueueState) for the queue-driven ones. needs names the PolicyParams
+    fields the kind reads. queues maps the receiver count K to the sizes of
+    the constraint (z) and auxiliary (g) queues, None for a stateless kind.
+    compare is the optimal kind a queue-driven kind is measured against and
+    the summary column the gap is read on.
+    """
+
+    step: Callable
+    needs: tuple
+    queues: Optional[Callable[[int], tuple]] = None
+    compare: Optional[tuple] = None
+    single_receiver: bool = False
+
+
+_POWER_REFERENCE = ("optimal-power", "total_received")
+
+POLICIES = {
+    "optimal-energy": PolicySpec(_core_optimal_energy, ("p_targets",), single_receiver=True),
+    "mdpp-energy": PolicySpec(
+        _core_mdpp_energy, ("v", "p_targets"), lambda k: (k, 0), ("optimal-energy", "avg_transmit_power")
+    ),
+    "optimal-power": PolicySpec(_core_optimal_power, ("p_avg",)),
+    "mdpp-power": PolicySpec(_core_mdpp_power, ("v", "p_avg"), lambda k: (1, 0), _POWER_REFERENCE),
+    "mmf": PolicySpec(_core_mmf, ("v", "p_avg"), lambda k: (1, k), _POWER_REFERENCE),
+    "qpf": PolicySpec(_core_qpf, ("v", "p_avg", "p_min"), lambda k: (k + 1, k), _POWER_REFERENCE),
 }
+POLICY_KINDS = tuple(POLICIES)
+QUEUE_DRIVEN_KINDS = tuple(kind for kind, spec in POLICIES.items() if spec.queues is not None)
+
+_NEEDS = {
+    "v": "the control parameter v",
+    "p_avg": "the average power budget p_avg",
+    "p_targets": "one delivery target per receiver",
+    "p_min": "the QoS floor p_min",
+}
+
+
+def policy_spec(kind: str) -> PolicySpec:
+    """The registry entry of a kind; an unknown kind raises ValueError."""
+    if kind not in POLICIES:
+        raise ValueError(f"unknown policy kind {kind!r}; expected one of {POLICY_KINDS}")
+    return POLICIES[kind]
+
+
+def validate_params_for(kind: str, params: PolicyParams, n_receivers: int) -> None:
+    """Check that the fields a policy relies on are present and consistent."""
+    spec = policy_spec(kind)
+    if spec.single_receiver and n_receivers != 1:
+        raise ValueError(f"{kind} is single-receiver only")
+    for name in spec.needs:
+        value = getattr(params, name)
+        if value is None or (name == "p_targets" and len(value) != n_receivers):
+            raise ValueError(f"{kind} needs {_NEEDS[name]}")
+
+
+def init_queue_state(kind: str, n_receivers: int) -> QueueState:
+    """All-zero queues, sized for the given policy."""
+    queues = policy_spec(kind).queues
+    if queues is None:
+        raise ValueError(f"policy {kind!r} keeps no queue state")
+    nz, ng = queues(n_receivers)
+    return QueueState(np.zeros(nz), np.zeros(ng), np.zeros(ng))
 
 
 def core_step(kind: str, state, params, ws, efficiency):
     """Advance a queue-driven policy one slot on precomputed Grams."""
-    return _CORES[kind](state, params, ws, efficiency)
-
-
-# ---------------------------------------------------------------------------
-# trade-off constants
+    return POLICIES[kind].step(state, params, ws, efficiency)
 
 
 def gap_bound_const(kind: str, n_receivers: int, p_peak: float) -> Optional[float]:
-    """Constant B of the O(B/V) optimality-gap bound, None for the optimal policies."""
-    k = n_receivers
-    bounds = {
-        "mdpp-energy": 0.5 * k * p_peak**2,
-        "mdpp-power": 0.5 * p_peak**2,
-        "mmf": 0.5 * (k + 1) * p_peak**2,
-        "qpf": 0.5 * (2 * k + 1) * p_peak**2,
-    }
-    return bounds.get(kind)
+    """Constant B of the O(B/V) optimality-gap bound, None for the optimal policies.
+
+    B holds one p_peak**2 / 2 term per virtual queue, constraint and
+    auxiliary alike.
+    """
+    queues = policy_spec(kind).queues
+    if queues is None:
+        return None
+    return 0.5 * sum(queues(n_receivers)) * p_peak**2
 
 
 def default_v(kind: str, params: PolicyParams, cfg: ScenarioConfig) -> float:
@@ -355,19 +291,27 @@ def default_v(kind: str, params: PolicyParams, cfg: ScenarioConfig) -> float:
         # queue around 75% of its budget, which measured 3-4% above the
         # optimal transmit power on the single-receiver reference scenario
         targets = np.asarray(params.p_targets, dtype=np.float64)
-        return 0.75 * horizon * float(np.min(targets * lam_hat))
-    if kind == "mdpp-power":
+        v = 0.75 * horizon * float(np.min(targets * lam_hat))
+    elif kind == "mdpp-power":
         # equilibrium backlog ~ v * lam_th; measured gap ~1% with the
         # budget queue near a quarter of its allowance
-        return 0.3 * horizon * params.p_avg / float(np.sum(lam_hat))
-    if kind == "mmf":
+        scale = float(np.sum(lam_hat))
+        v = 0.3 * horizon * params.p_avg / scale if scale > 0.0 else 0.0
+    elif kind == "mmf":
         # bang-bang auxiliary targets keep sum(g) hovering near v, so a few
         # peak-power slots' worth is enough; larger v only slows tracking
-        return 10.0 * params.p_avg
-    if kind == "qpf":
+        v = 10.0 * params.p_avg
+    elif kind == "qpf":
         # the auxiliary queues settle at g_i ~ v / received_i following a
         # sqrt(2 v t) transient; this keeps that transient under a few
         # percent of the horizon for the weakest receiver
         recv_hat = params.p_avg * float(np.min(lam_hat))
-        return 0.05 * cfg.slots * recv_hat**2
-    raise ValueError(f"policy {kind!r} does not use v")
+        v = 0.05 * cfg.slots * recv_hat**2
+    else:
+        raise ValueError(f"policy {kind!r} does not use v")
+    if not v > 0.0:
+        raise ValueError(
+            f"{kind} has no default v: the channel scale (reference_gain) or a delivery "
+            "target is zero; pass v explicitly"
+        )
+    return v

@@ -128,13 +128,3 @@ def solve_power_threshold(
     t = float(x[max(k, 0)])
     duty = float(n - np.searchsorted(x, t, side="left")) / n
     return ThresholdValue(t, duty)
-
-
-def save_spectrum(spectrum: EmpiricalSpectrum, path) -> None:
-    """Dump samples as a one-column text file (full float precision)."""
-    np.savetxt(path, spectrum.samples, fmt="%.17g")
-
-
-def load_spectrum(path) -> EmpiricalSpectrum:
-    """Load a spectrum dumped by save_spectrum."""
-    return EmpiricalSpectrum(np.atleast_1d(np.loadtxt(path, dtype=np.float64)))

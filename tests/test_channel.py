@@ -12,11 +12,10 @@ from wptsim.channel import (
     empirical_gain_spectrum,
     evaluation_rng,
     los_matrices,
-    sample_slot,
     sample_slot_block,
     warmup_rng,
 )
-from wptsim.linalg import gram, max_eigpair
+from wptsim.linalg import grams, max_eigpair
 
 
 def make_cfg(**kw):
@@ -84,7 +83,7 @@ class TestLineOfSight:
     def test_ones_mode_gram_peak(self):
         cfg = make_cfg(rician_kappa=KAPPA_LOS_LIMIT)
         h = sample_slot_block(cfg, evaluation_rng(cfg), 1)[0, 0]
-        lam = max_eigpair(gram(h)).value
+        lam = max_eigpair(grams(h)).value
         assert lam == pytest.approx(cfg.gains()[0] * cfg.n_rx * cfg.n_tx, rel=1e-10)
 
     def test_steering_mode_gram_peak_and_modulus(self):
@@ -93,7 +92,7 @@ class TestLineOfSight:
         los = los_matrices(cfg)
         assert np.allclose(np.abs(los), 1.0, atol=1e-12)
         h = sample_slot_block(cfg, evaluation_rng(cfg), 1)[0, 1]
-        lam = max_eigpair(gram(h)).value
+        lam = max_eigpair(grams(h)).value
         assert lam == pytest.approx(cfg.gains()[1] * cfg.n_rx * cfg.n_tx, rel=1e-10)
 
     def test_steering_receivers_distinct(self):
@@ -170,17 +169,11 @@ class TestStreams:
     def test_per_slot_equals_block(self):
         cfg = make_cfg(seed=16, positions=((0.3, 0.3), (0.0, 0.5)))
         rng = evaluation_rng(cfg)
-        singles = [sample_slot(cfg, rng, i) for i in range(4)]
+        singles = [sample_slot_block(cfg, rng, 1) for _ in range(4)]
         block = sample_slot_block(cfg, evaluation_rng(cfg), 4)
         for i, slot in enumerate(singles):
-            assert slot.slot_index == i
-            for k in range(2):
-                assert np.array_equal(slot.channels[k], block[i, k])
-
-    def test_slot_index_validated(self):
-        cfg = make_cfg()
-        with pytest.raises(ValueError):
-            sample_slot(cfg, evaluation_rng(cfg), -1)
+            assert slot.shape == (1, 2, cfg.n_rx, cfg.n_tx)
+            assert np.array_equal(slot[0], block[i])
 
 
 class TestSpectrum:

@@ -12,7 +12,6 @@ from wptsim.config import (
     experiment_to_mapping,
     load_experiment_file,
     load_preset,
-    parse_config,
     preset_names,
     serialize_experiment,
 )
@@ -22,11 +21,28 @@ MINIMAL = {
     "policy": {"kind": "mdpp-power", "p_peak": 5.0, "p_avg": 2.5},
 }
 
+# each queue-driven kind's optimal reference and the column its gap is read on
+COMPARE_REFERENCES = {
+    "mdpp-energy": ("optimal-energy", "avg_transmit_power"),
+    "mdpp-power": ("optimal-power", "total_received"),
+    "mmf": ("optimal-power", "total_received"),
+    "qpf": ("optimal-power", "total_received"),
+}
+
 
 def write_config(tmp_path, data, name="exp.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(data))
     return str(path)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def strict_json(text):
+    """Parse RFC 8259 JSON: NaN, Infinity and -Infinity are rejected."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 def read_csv_with_meta(path):
@@ -148,13 +164,6 @@ class TestStrictParsing:
         with pytest.raises(ConfigError, match="empty"):
             load_experiment_file(str(empty))
 
-    def test_parse_config_returns_first_kind(self, tmp_path):
-        path = write_config(tmp_path, {"preset": "fig5", "scenario": {"slots": 50}})
-        cfg, params, kind = parse_config(path)
-        assert kind == "mdpp-energy"
-        assert cfg.slots == 50
-        assert params.p_targets == (0.015,)
-
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name", sorted(set(preset_names())))
@@ -235,11 +244,29 @@ class TestCli:
         config = write_config(tmp_path, MINIMAL)
         out = str(tmp_path / "result.jsonl")
         assert main(["run", "--config", config, "--out", out, "--format", "jsonlines"]) == 0
-        lines = [json.loads(l) for l in open(out, encoding="utf-8")]
+        lines = [strict_json(l) for l in open(out, encoding="utf-8")]
         assert "meta" in lines[0]
         assert lines[0]["meta"]["config"]["policy"]["kind"] == "mdpp-power"
         assert lines[1]["policy"] == "mdpp-power"
         assert isinstance(lines[1]["total_received"], float)
+
+        # non-finite summary values are written as null: a receiver that
+        # harvests nothing, and a budget below one warm-up sample's duty
+        scenario = MINIMAL["scenario"]
+        for name, data, key in (
+            ("zero-gain", {"scenario": {**scenario, "reference_gain": 0.0},
+                           "policy": {"kind": "optimal-power", "p_peak": 5.0, "p_avg": 2.5}},
+             "sum_log_received"),
+            ("tiny-budget", {"scenario": scenario,
+                             "policy": {"kind": "optimal-power", "p_peak": 10.0, "p_avg": 1e-5}},
+             "threshold"),
+        ):
+            out = str(tmp_path / f"{name}.jsonl")
+            config = write_config(tmp_path, data, name=f"{name}.yaml")
+            assert main(["run", "--config", config, "--out", out, "--format", "jsonlines"]) == 0
+            lines = [strict_json(l) for l in open(out, encoding="utf-8")]
+            assert "meta" in lines[0]
+            assert key in lines[1] and lines[1][key] is None
 
     def test_seed_and_slots_overrides(self, tmp_path):
         config = write_config(tmp_path, MINIMAL)
@@ -286,15 +313,18 @@ class TestCli:
         assert len(rows) == 4  # 2 points x 2 reps x 1 policy
         assert [r["sweep_value"] for r in rows] == ["4", "4", "6", "6"]
 
-    def test_compare_appends_gap_columns(self, tmp_path):
-        config = write_config(tmp_path, MINIMAL)
+    @pytest.mark.parametrize("kind", sorted(COMPARE_REFERENCES))
+    def test_compare_appends_gap_columns(self, tmp_path, kind):
+        reference, metric = COMPARE_REFERENCES[kind]
+        policy = {"kind": kind, "p_peak": 5.0, "p_avg": 2.5, "p_targets": [0.01], "p_min": 0.001}
+        config = write_config(tmp_path, {"scenario": MINIMAL["scenario"], "policy": policy})
         out = str(tmp_path / "cmp.csv")
         assert main(["compare", "--config", config, "--out", out]) == 0
         _, rows = read_csv_with_meta(out)
-        assert [r["policy"] for r in rows] == ["mdpp-power", "optimal-power"]
+        assert [r["policy"] for r in rows] == [kind, reference]
         near, opt = rows
-        assert near["gap_metric"] == "total_received"
-        gap = float(near["total_received"]) - float(opt["total_received"])
+        assert near["gap_metric"] == metric
+        gap = float(near[metric]) - float(opt[metric])
         assert float(near["gap"]) == pytest.approx(gap, rel=1e-9)
         assert float(near["b_over_v"]) > 0.0
         assert opt["gap"] == ""  # reference rows carry no gap

@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from wptsim import harness
 from wptsim.channel import KAPPA_LOS_LIMIT, ScenarioConfig
 from wptsim.harness import (
     DRIFT_SLACK,
@@ -22,7 +23,7 @@ from wptsim.harness import (
     run,
     sweep,
 )
-from wptsim.policies import QUEUE_DRIVEN_KINDS, PolicyParams
+from wptsim.policies import POLICY_KINDS, QUEUE_DRIVEN_KINDS, PolicyParams
 from wptsim.threshold import InfeasibleTargetError
 
 TWO_RX = ((0.3, 0.3), (0.0, 0.5))
@@ -130,6 +131,16 @@ class TestRunBookkeeping:
         assert s.threshold_target is not None
         assert s.config["warmup_samples"] == 256
         assert s.queues_stable is None and s.z_rates == ()
+
+    @pytest.mark.parametrize("kind", POLICY_KINDS)
+    def test_summary_does_not_depend_on_chunk_size(self, kind, monkeypatch):
+        positions = TWO_RX[:1] if kind == "optimal-energy" else TWO_RX
+        cfg = scenario(slots=40, positions=positions)
+        params = PolicyParams(p_peak=5.0, p_avg=2.5, p_targets=(0.005,) * len(positions), p_min=0.002)
+        want = run(cfg, params, kind, warmup_samples=512).to_row()
+        for chunk in (1, 7):
+            monkeypatch.setattr(harness, "_CHUNK", chunk)
+            assert run(cfg, params, kind, warmup_samples=512).to_row() == want
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown policy kind"):

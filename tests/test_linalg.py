@@ -1,4 +1,4 @@
-"""Kernel tests: gram, weighted_combine, max_eigpair, quad_form.
+"""Kernel tests: grams, weighted_combine, max_eigpair, quad_form.
 
 Derived values are checked against the independent oracles in oracles.py
 (naive index-loop arithmetic, hand-written Jacobi spectrum), never against
@@ -10,8 +10,7 @@ import pytest
 
 from wptsim.linalg import (
     EigenPair,
-    gram,
-    hermitianize,
+    grams,
     max_eigpair,
     quad_form,
     weighted_combine,
@@ -31,10 +30,10 @@ def random_complex(rng, m, n):
 
 class TestGram:
     def test_zero_matrix(self):
-        assert np.array_equal(gram(np.zeros((3, 4))), np.zeros((4, 4)))
+        assert np.array_equal(grams(np.zeros((3, 4))), np.zeros((4, 4)))
 
     def test_identity(self):
-        assert np.array_equal(gram(np.eye(3)), np.eye(3))
+        assert np.array_equal(grams(np.eye(3)), np.eye(3))
 
     def test_matches_naive_triple_loop(self):
         rng = np.random.default_rng(101)
@@ -42,14 +41,20 @@ class TestGram:
             m = int(rng.integers(1, 7))
             n = int(rng.integers(1, 7))
             h = random_complex(rng, m, n)
-            w = gram(h)
+            w = grams(h)
             assert np.allclose(w, naive_gram(h), atol=1e-12)
+        # batched over leading axes, one Gram per (slot, receiver)
+        hs = random_complex(rng, 5 * 3 * 2, 4).reshape(5, 3, 2, 4)
+        ws = grams(hs)
+        assert ws.shape == (5, 3, 4, 4)
+        for idx in np.ndindex(5, 3):
+            assert np.allclose(ws[idx], naive_gram(hs[idx]), atol=1e-12)
 
     def test_hermitian_and_psd(self):
         rng = np.random.default_rng(102)
         for _ in range(30):
             h = random_complex(rng, int(rng.integers(1, 6)), int(rng.integers(2, 8)))
-            w = gram(h)
+            w = grams(h)
             assert np.array_equal(w, w.conj().T)
             floor = -1e-10 * float(np.sum(np.abs(h) ** 2))
             assert jacobi_spectrum(w)[0] >= floor
@@ -58,24 +63,26 @@ class TestGram:
         h = np.ones((2, 3), dtype=complex)
         h[0, 0] = np.nan
         with pytest.raises(ValueError):
-            gram(h)
+            grams(h)
 
     def test_rejects_wrong_rank(self):
         with pytest.raises(ValueError):
-            gram(np.ones(4))
+            grams(np.ones(4))
 
 
 class TestHermitianize:
+    """grams and weighted_combine average their result with its conjugate
+    transpose, so their outputs are Hermitian bit for bit."""
+
     def test_exact_hermitian_output(self):
         rng = np.random.default_rng(103)
-        a = random_complex(rng, 5, 5)
-        h = hermitianize(a)
-        assert np.array_equal(h, h.conj().T)
+        w = grams(random_complex(rng, 4 * 3, 5).reshape(4, 3, 5))
+        assert np.array_equal(w, np.conj(np.swapaxes(w, -1, -2)))
 
     def test_fixpoint_on_hermitian_input(self):
         rng = np.random.default_rng(104)
         w = random_hermitian(rng, 4)
-        assert np.array_equal(hermitianize(w), w)
+        assert np.array_equal(weighted_combine([1.0], [w], 0.0), w)
 
 
 class TestWeightedCombine:
@@ -222,6 +229,6 @@ class TestSpectralBound:
         rng = np.random.default_rng(113)
         for _ in range(50):
             h = random_complex(rng, int(rng.integers(1, 5)), int(rng.integers(2, 9)))
-            w = gram(h)
+            w = grams(h)
             v = rng.standard_normal(w.shape[0]) + 1j * rng.standard_normal(w.shape[0])
             assert quad_form(w, v) <= max_eigpair(w).value * float(np.sum(np.abs(v) ** 2)) + 1e-9

@@ -8,28 +8,21 @@ trajectories match exactly.
 import numpy as np
 import pytest
 
-from wptsim.channel import ScenarioConfig, SlotChannels, evaluation_rng, sample_slot
-from wptsim.linalg import max_eigpair
+from wptsim.channel import ScenarioConfig
 from wptsim.policies import (
+    POLICIES,
     POLICY_KINDS,
     QUEUE_DRIVEN_KINDS,
     PolicyParams,
     QueueState,
-    SlotDecision,
     core_step,
     default_v,
     gap_bound_const,
     init_queue_state,
-    step_mdpp_energy,
-    step_mdpp_power,
-    step_mmf,
-    step_optimal_energy,
-    step_optimal_power,
-    step_qpf,
     validate_params_for,
 )
 from wptsim.threshold import ThresholdValue
-from oracles import jacobi_spectrum
+from oracles import jacobi_spectrum, naive_gram
 
 E1_3 = np.array([1.0, 0.0, 0.0], dtype=np.complex128)
 
@@ -38,80 +31,58 @@ def diag_gram(*entries):
     return np.diag(np.asarray(entries, dtype=np.complex128))
 
 
-def scenario(**kw):
-    base = dict(n_tx=3, n_rx=2, positions=((0.3, 0.3),), slots=10)
-    base.update(kw)
-    return ScenarioConfig(**base)
-
-
-def channels_for(*grams_diag):
-    """SlotChannels whose Grams are the given diagonal matrices."""
-    hs = [np.diag(np.sqrt(np.diag(w).real)).astype(np.complex128) for w in grams_diag]
-    return SlotChannels(0, hs)
+def grams_of(*hs):
+    """Stacked Grams of the given channel matrices, from the index-loop oracle."""
+    return np.stack([naive_gram(np.asarray(h, dtype=np.complex128)) for h in hs])
 
 
 class TestOptimalEnergy:
-    CFG = ScenarioConfig(n_tx=3, n_rx=2, positions=((0.3, 0.3),), slots=10)
+    STEP = staticmethod(POLICIES["optimal-energy"].step)
+    PARAMS = PolicyParams(p_peak=5.0, p_targets=(0.01,))
 
     def test_transmits_above_threshold(self):
-        h = np.array([[2.0, 0.0, 0.0], [0.0, 1.0, 0.0]], dtype=np.complex128)
-        dec = step_optimal_energy(
-            self.CFG,
-            PolicyParams(p_peak=5.0, p_targets=(0.01,)),
-            ThresholdValue(2.0, 1.0),
-            SlotChannels(0, [h]),
-        )
+        ws = grams_of([[2.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        dec = self.STEP(self.PARAMS, ThresholdValue(2.0, 1.0), ws, 1.0)
         assert dec.transmitted_power == 5.0
         assert np.allclose(dec.beam, np.sqrt(5.0) * E1_3, atol=1e-12)
         assert dec.received_power[0] == pytest.approx(20.0, rel=1e-12)
 
     def test_boundary_value_transmits(self):
-        h = np.array([[2.0, 0.0, 0.0]], dtype=np.complex128)
-        dec = step_optimal_energy(
-            self.CFG,
-            PolicyParams(p_peak=5.0, p_targets=(0.01,)),
-            ThresholdValue(4.0, 1.0),
-            SlotChannels(0, [h]),
-        )
+        ws = grams_of([[2.0, 0.0, 0.0]])
+        dec = self.STEP(self.PARAMS, ThresholdValue(4.0, 1.0), ws, 1.0)
         assert dec.transmitted_power == 5.0
 
     def test_silent_below_threshold(self):
-        h = np.array([[2.0, 0.0, 0.0]], dtype=np.complex128)
-        dec = step_optimal_energy(
-            self.CFG,
-            PolicyParams(p_peak=5.0, p_targets=(0.01,)),
-            ThresholdValue(4.0 + 1e-9, 1.0),
-            SlotChannels(0, [h]),
-        )
+        ws = grams_of([[2.0, 0.0, 0.0]])
+        dec = self.STEP(self.PARAMS, ThresholdValue(4.0 + 1e-9, 1.0), ws, 1.0)
         assert dec.transmitted_power == 0.0
         assert np.all(dec.beam == 0.0)
         assert np.all(dec.received_power == 0.0)
 
     def test_efficiency_scales_received(self):
-        h = np.array([[2.0, 0.0, 0.0]], dtype=np.complex128)
-        cfg = ScenarioConfig(n_tx=3, n_rx=2, positions=((0.3, 0.3),), slots=10, efficiency=0.5)
-        dec = step_optimal_energy(cfg, PolicyParams(p_peak=5.0, p_targets=(0.01,)), ThresholdValue(0.0, 1.0), SlotChannels(0, [h]))
+        ws = grams_of([[2.0, 0.0, 0.0]])
+        dec = self.STEP(self.PARAMS, ThresholdValue(0.0, 1.0), ws, 0.5)
         assert dec.received_power[0] == pytest.approx(10.0, rel=1e-12)
 
     def test_rejects_multiple_receivers(self):
-        h = np.zeros((1, 3), dtype=np.complex128)
         with pytest.raises(ValueError, match="single-receiver"):
-            step_optimal_energy(self.CFG, PolicyParams(p_peak=5.0, p_targets=(0.01,)), ThresholdValue(0.0, 1.0), SlotChannels(0, [h, h]))
+            validate_params_for("optimal-energy", self.PARAMS, 2)
 
 
 class TestOptimalPower:
+    STEP = staticmethod(POLICIES["optimal-power"].step)
+    WS = grams_of([[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])  # diag(1,0,0), diag(0,2,0)
+
     def test_beams_on_summed_gram(self):
-        chans = channels_for(diag_gram(1.0, 0.0, 0.0), diag_gram(0.0, 2.0, 0.0))
-        dec = step_optimal_power(PolicyParams(p_peak=4.0, p_avg=2.0), ThresholdValue(1.5, 0.5), chans)
+        dec = self.STEP(PolicyParams(p_peak=4.0, p_avg=2.0), ThresholdValue(1.5, 0.5), self.WS, 1.0)
         assert dec.transmitted_power == 4.0
         assert np.allclose(dec.beam, 2.0 * np.array([0, 1, 0]), atol=1e-12)
         assert dec.received_power == pytest.approx([0.0, 8.0], abs=1e-12)
 
     def test_boundary_and_silence(self):
-        chans = channels_for(diag_gram(1.0, 0.0, 0.0), diag_gram(0.0, 2.0, 0.0))
         p = PolicyParams(p_peak=4.0, p_avg=2.0)
-        assert step_optimal_power(p, ThresholdValue(2.0, 0.5), chans).transmitted_power == 4.0
-        dec = step_optimal_power(p, ThresholdValue(2.0 + 1e-9, 0.5), chans)
+        assert self.STEP(p, ThresholdValue(2.0, 0.5), self.WS, 1.0).transmitted_power == 4.0
+        dec = self.STEP(p, ThresholdValue(2.0 + 1e-9, 0.5), self.WS, 1.0)
         assert dec.transmitted_power == 0.0
         assert np.all(dec.received_power == 0.0)
 
@@ -316,24 +287,6 @@ class TestInvariants:
             checked += 1
         assert checked > 10
 
-    def test_step_wrappers_match_core(self):
-        cfg = ScenarioConfig(n_tx=4, n_rx=2, positions=((0.3, 0.3), (0.0, 0.5)), slots=10, seed=5)
-        rng = evaluation_rng(cfg)
-        chans = sample_slot(cfg, rng, 0)
-        ws = np.stack([h.conj().T @ h for h in chans.channels])
-        for kind, step in (
-            ("mdpp-energy", step_mdpp_energy),
-            ("mdpp-power", step_mdpp_power),
-            ("mmf", step_mmf),
-            ("qpf", step_qpf),
-        ):
-            params = self.params_for(kind)
-            dec_w, state_w = step(init_queue_state(kind, 2), params, chans, cfg.efficiency)
-            dec_c, state_c = core_step(kind, init_queue_state(kind, 2), params, ws, cfg.efficiency)
-            assert dec_w.transmitted_power == dec_c.transmitted_power
-            assert np.allclose(dec_w.beam, dec_c.beam, atol=1e-12)
-            assert np.allclose(state_w.z, state_c.z, atol=1e-15)
-
 
 class TestParameterPlumbing:
     def test_policy_params_validation(self):
@@ -395,3 +348,18 @@ class TestParameterPlumbing:
             assert default_v(kind, params, cfg) > 0.0
         with pytest.raises(ValueError):
             default_v("optimal-power", params, cfg)
+
+    @pytest.mark.parametrize(
+        "kind, gain, targets",
+        [
+            ("mdpp-power", 0.0, (0.01,)),
+            ("mdpp-energy", 0.0, (0.01,)),
+            ("mdpp-energy", 1e-3, (0.0,)),
+            ("qpf", 0.0, (0.01,)),
+        ],
+    )
+    def test_default_v_names_a_zero_channel_scale(self, kind, gain, targets):
+        cfg = ScenarioConfig(n_tx=8, n_rx=4, positions=((0.3, 0.3),), slots=1000, reference_gain=gain)
+        params = PolicyParams(p_peak=5.0, p_avg=2.5, p_targets=targets, p_min=0.005)
+        with pytest.raises(ValueError, match="pass v explicitly"):
+            default_v(kind, params, cfg)

@@ -9,8 +9,6 @@ from wptsim.threshold import (
     EmpiricalSpectrum,
     InfeasibleTargetError,
     ThresholdValue,
-    load_spectrum,
-    save_spectrum,
     solve_energy_threshold,
     solve_power_threshold,
 )
@@ -186,18 +184,3 @@ class TestEmpiricalSpectrum:
         assert spectrum([7.0]).quantile(0.5) == 7.0
         with pytest.raises(ValueError):
             s.quantile(1.5)
-
-
-class TestPersistence:
-    def test_round_trip_exact(self, tmp_path):
-        rng = np.random.default_rng(205)
-        s = spectrum(rng.uniform(0, 1e-2, size=137))
-        path = tmp_path / "spectrum.txt"
-        save_spectrum(s, path)
-        loaded = load_spectrum(path)
-        assert np.array_equal(loaded.samples, s.samples)
-
-    def test_single_sample_round_trip(self, tmp_path):
-        path = tmp_path / "one.txt"
-        save_spectrum(spectrum([0.0317]), path)
-        assert load_spectrum(path).count == 1
