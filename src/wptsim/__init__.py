@@ -28,9 +28,6 @@ from wptsim.policies import (
     POLICIES,
     POLICY_KINDS,
     PolicyParams,
-    QueueState,
-    SlotDecision,
-    init_queue_state,
     default_v,
     gap_bound_const,
 )
@@ -65,9 +62,6 @@ __all__ = [
     "POLICIES",
     "POLICY_KINDS",
     "PolicyParams",
-    "QueueState",
-    "SlotDecision",
-    "init_queue_state",
     "default_v",
     "gap_bound_const",
     "RunSummary",

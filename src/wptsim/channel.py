@@ -166,7 +166,7 @@ def sample_slot_block(cfg: ScenarioConfig, rng: np.random.Generator, count: int)
     return amp[None, :, None, None] * _unit_fading_block(cfg, rng, count)
 
 
-def empirical_gain_spectrum(cfg, combine_rule: str, n_samples: int, rng, chunk: int = 4096):
+def empirical_gain_spectrum(cfg, combine_rule: str, n_samples: int, rng, chunk: int = 512):
     """Sample the maximal eigenvalue of the (combined) channel Gram.
 
     combine_rule "single" samples lambda_max(W_1) of the first receiver;

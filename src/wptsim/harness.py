@@ -3,7 +3,10 @@
 run() drives one policy over cfg.slots timeslots and accumulates the
 time-averaged metrics; for the optimal threshold policies it first estimates
 the transmit threshold from a warm-up eigenvalue spectrum drawn on an RNG
-stream disjoint from the evaluation stream. sweep() repeats run() over a
+stream disjoint from the evaluation stream. Slots are sampled and their
+Grams formed in blocks of _CHUNK; a threshold policy decides a whole block
+at once, a queue-driven one steps through it slot by slot. The block size
+does not move a single bit of the summary. sweep() repeats run() over a
 one-parameter grid with independently seeded repetitions.
 
 Every queue-driven run checks the realized quadratic-drift inequality on
@@ -33,12 +36,10 @@ from wptsim.channel import (
 )
 from wptsim.linalg import grams
 from wptsim.policies import (
-    QUEUE_DRIVEN_KINDS,
     PolicyParams,
     core_step,
     default_v,
     gap_bound_const,
-    init_queue_state,
     policy_spec,
     validate_params_for,
     _core_optimal_energy,
@@ -53,7 +54,10 @@ from wptsim.threshold import (
 WARMUP_SAMPLES = 20_000
 QUEUE_RATE_TOL = 1e-3
 DRIFT_SLACK = 1e-9
-_CHUNK = 4096
+# slots sampled and solved per block: small enough that a block's arrays
+# (about 1 MB each for two 4x8 receivers) barely show in the peak memory,
+# large enough that the per-block calls cost little per slot
+_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -140,10 +144,30 @@ def power_scale(params: PolicyParams) -> float:
 
 
 def resolve_params(cfg: ScenarioConfig, params: PolicyParams, policy_kind: str) -> PolicyParams:
-    """Fill in the default control parameter v where the policy needs one."""
-    if policy_kind in QUEUE_DRIVEN_KINDS and params.v is None:
+    """Fill in the default control parameter v where the policy needs one.
+
+    default_v reads the policy's other fields, so a missing one is named
+    here before v is derived from it.
+    """
+    if params.v is None and "v" in policy_spec(policy_kind).needs:
+        validate_params_for(policy_kind, params, cfg.n_receivers, skip=("v",))
         params = replace(params, v=default_v(policy_kind, params, cfg))
     return params
+
+
+def advance_queues(q: np.ndarray, q_sq, d: np.ndarray) -> tuple:
+    """One queue update q <- max(q + d, 0) and its drift slack.
+
+    q_sq is sum(q**2) as returned by the previous update (0.0 for all-zero
+    queues). Returns (new q, its sum of squares, slack), where slack is the
+    amount by which L' - L exceeds q.d + |d|^2 / 2 for L = sum(q^2) / 2;
+    the inequality holds exactly, so the slack is pure round-off.
+    """
+    q_new = np.maximum(q + d, 0.0)
+    q_new_sq = (q_new**2).sum()
+    lhs = 0.5 * float(q_new_sq - q_sq)
+    rhs = float(np.dot(q, d) + 0.5 * (d**2).sum())
+    return q_new, q_new_sq, lhs - rhs
 
 
 def estimate_threshold(cfg: ScenarioConfig, params: PolicyParams, policy_kind: str, warmup_samples: int):
@@ -167,47 +191,55 @@ def run(
     warmup_samples: int = WARMUP_SAMPLES,
 ) -> RunSummary:
     """Simulate one policy for cfg.slots slots; deterministic in (cfg, params)."""
-    queue_driven = policy_spec(policy_kind).queues is not None
+    queues = policy_spec(policy_kind).queues
+    queue_driven = queues is not None
     k = cfg.n_receivers
     params = resolve_params(cfg, params, policy_kind)
     validate_params_for(policy_kind, params, k)
 
     threshold = None if queue_driven else estimate_threshold(cfg, params, policy_kind, warmup_samples)
-    state = init_queue_state(policy_kind, k) if queue_driven else None
     eff = cfg.efficiency
 
+    # the sums are accumulated slot by slot in slot order; a silent slot
+    # would add exact zeros, so it is skipped
     sum_transmit = 0.0
     sum_recv = np.zeros(k)
     transmit_slots = 0
     drift_slack_max = 0.0
+    q = np.zeros(sum(queues(k))) if queue_driven else None
+    q_sq = 0.0
 
     rng = evaluation_rng(cfg)
     done = 0
     while done < cfg.slots:
         take = min(_CHUNK, cfg.slots - done)
         ws_block = grams(sample_slot_block(cfg, rng, take))
-        for j in range(take):
-            ws = ws_block[j]
-            if queue_driven:
-                q_prev = np.concatenate((state.z, state.g))
-                dec, state = core_step(policy_kind, state, params, ws, eff)
-                q_new = np.concatenate((state.z, state.g))
-                lhs = 0.5 * float(np.sum(q_new**2) - np.sum(q_prev**2))
-                rhs = float(np.dot(q_prev, dec.deficits) + 0.5 * np.sum(dec.deficits**2))
-                drift_slack_max = max(drift_slack_max, lhs - rhs)
-            elif policy_kind == "optimal-energy":
-                dec = _core_optimal_energy(params, threshold, ws, eff)
-            else:
-                dec = _core_optimal_power(params, threshold, ws, eff)
-            sum_transmit += dec.transmitted_power
-            sum_recv += dec.received_power
-            transmit_slots += dec.transmitted_power > 0.0
+        if not queue_driven:
+            step = _core_optimal_energy if policy_kind == "optimal-energy" else _core_optimal_power
+            for recv in step(params, threshold, ws_block, eff):
+                sum_transmit += params.p_peak
+                sum_recv += recv
+                transmit_slots += 1
+        else:
+            for j in range(take):
+                power, recv, d = core_step(policy_kind, q, params, ws_block[j], eff)
+                q, q_sq, slack = advance_queues(q, q_sq, d)
+                drift_slack_max = max(drift_slack_max, slack)
+                if power:
+                    sum_transmit += power
+                    sum_recv += recv
+                    transmit_slots += 1
+            # max(q + d, 0) is never negative, and a NaN would persist to the
+            # end of the block, so checking the block's last queues covers it
+            if not (q >= 0.0).all():
+                raise ArithmeticError(f"queues left the nonnegative orthant: {q}")
         done += take
 
     slots = cfg.slots
     avg_recv = sum_recv / slots
-    z_rates = tuple(float(q) / slots for q in state.z) if queue_driven else ()
-    g_rates = tuple(float(q) / slots for q in state.g) if queue_driven else ()
+    nz = queues(k)[0] if queue_driven else 0
+    z_rates = tuple(float(x) / slots for x in q[:nz]) if queue_driven else ()
+    g_rates = tuple(float(x) / slots for x in q[nz:]) if queue_driven else ()
     stable = None
     if queue_driven:
         # only the constraint queues z bound a time-average requirement;

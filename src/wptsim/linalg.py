@@ -8,6 +8,7 @@ full Hermitian eigendecomposition rather than power iteration.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -18,6 +19,9 @@ HERMITIAN_ATOL = 1e-10
 RESIDUAL_RTOL = 1e-8
 # Components below this magnitude count as zero for the phase convention.
 _NONZERO_ATOL = 1e-12
+# An eigenvalue ties with the top one when it lies within
+# _TIE_RTOL * max(1, max |eigenvalue|) of it.
+_TIE_RTOL = 64.0 * np.finfo(np.float64).eps
 
 
 class EigenPair(NamedTuple):
@@ -27,22 +31,35 @@ class EigenPair(NamedTuple):
     vector: np.ndarray
 
 
+def hermitian_part(w: np.ndarray) -> np.ndarray:
+    """(W + W^H) / 2 over the last two axes, Hermitian bit for bit.
+
+    out[..., j, k] == conj(out[..., k, j]) exactly, and a Hermitian input is
+    returned unchanged. The result is built as conj(W^T) and then W is added
+    in place, so it holds one stack fewer than the out-of-place average and
+    its last two axes are always stored transposed. That layout is pinned on
+    purpose: the received-power einsum rounds by the layout of the Grams it
+    reads, and a layout that depended on the stack size would make run
+    summaries depend on the chunk size.
+    """
+    out = w.swapaxes(-1, -2).conj()
+    out += w
+    out *= 0.5
+    return out
+
+
 def grams(h: np.ndarray) -> np.ndarray:
     """Gram matrices H^H H over the last two axes: (..., M, N) -> (..., N, N).
 
-    Each Gram is averaged with its conjugate transpose, which kills the
-    round-off drift exactly: out[..., j, k] == conj(out[..., k, j]) bit for bit.
-    The average is taken out of place on purpose: the memory layout of its
-    result feeds the rounding of every per-slot policy step, so an in-place
-    form moves run summaries in their last bits.
+    Each Gram is passed through hermitian_part, which kills the round-off
+    drift exactly and pins the memory layout for every stack size.
     """
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim < 2:
         raise ValueError(f"channel matrices must be at least 2-D, got shape {h.shape}")
     if not np.all(np.isfinite(h)):
         raise ValueError("channel matrix has non-finite entries")
-    w = np.einsum("...mn,...mp->...np", h.conj(), h)
-    return 0.5 * (w + np.conj(np.swapaxes(w, -1, -2)))
+    return hermitian_part(np.einsum("...mn,...mp->...np", h.conj(), h))
 
 
 def weighted_combine(
@@ -63,62 +80,113 @@ def weighted_combine(
     g = np.asarray(grams, dtype=np.complex128)
     if g.ndim != 3 or g.shape[1] != g.shape[2]:
         raise ValueError("grams must be a sequence of equal-size square matrices")
-    if not (np.all(np.isfinite(w)) and np.isfinite(shift)):
+    if not (np.isfinite(w).all() and math.isfinite(shift)):
         raise ValueError("weights and shift must be finite")
-    out = np.tensordot(w, g, axes=1)
-    n = out.shape[0]
-    out[np.arange(n), np.arange(n)] -= shift
-    return 0.5 * (out + out.conj().T)
+    n = g.shape[1]
+    # the product np.tensordot(w, g, axes=1) makes, without its bookkeeping
+    out = np.dot(w.reshape(1, -1), g.reshape(w.size, n * n)).reshape(n, n)
+    out.reshape(-1)[:: n + 1] -= shift
+    return hermitian_part(out)
+
+
+def _check_hermitian(w: np.ndarray) -> None:
+    """Reject unless max|W - W^H| <= HERMITIAN_ATOL over a matrix or a stack."""
+    dev = float(np.abs(w - w.swapaxes(-1, -2).conj()).max()) if w.size else 0.0
+    if dev > HERMITIAN_ATOL:
+        raise ValueError(
+            f"matrix is not Hermitian: max deviation {dev:.3e} exceeds {HERMITIAN_ATOL:.0e}"
+        )
+
+
+def _eigh(w: np.ndarray) -> tuple:
+    try:
+        return np.linalg.eigh(w)
+    except np.linalg.LinAlgError as err:
+        raise ArithmeticError(f"Hermitian eigendecomposition did not converge: {err}") from err
+
+
+def _residual_error(residual: float, lam: float) -> ArithmeticError:
+    return ArithmeticError(f"eigenpair residual {residual:.3e} exceeds tolerance for eigenvalue {lam:.6g}")
+
+
+def _norm2(x: np.ndarray) -> float:
+    """np.linalg.norm of a complex vector, bit for bit: the same two dot
+    products, without the wrapper's dispatch, which costs more than they do."""
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
+def top_eigpair(w: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> EigenPair:
+    """The deterministic top eigenpair of Hermitian w from its eigh output.
+
+    Tie-breaking for a degenerate top eigenspace: among the decomposition's
+    candidate eigenvectors, take the one maximizing the magnitude of its first
+    nonzero component, earliest column on ties. The global phase is fixed so
+    the first nonzero component is real positive. The pair's residual
+    ||W v - lam v|| must stay within RESIDUAL_RTOL * max(1, |lam|).
+    """
+    n = vals.shape[0]
+    lam = float(vals[-1])
+    # eigh sorts ascending, so the largest magnitude sits at an end
+    scale = max(1.0, abs(float(vals[0])), abs(lam))
+    floor = lam - _TIE_RTOL * scale
+    best = n - 1
+    if n > 1 and vals[-2] >= floor:
+        best_mag = -1.0
+        for j in np.nonzero(vals >= floor)[0]:
+            col = vecs[:, j]
+            nz = np.nonzero(np.abs(col) > _NONZERO_ATOL)[0]
+            mag = float(np.abs(col[nz[0]])) if nz.size else 0.0
+            if mag > best_mag:
+                best, best_mag = j, mag
+    vec = vecs[:, best].copy()
+
+    big = np.abs(vec) > _NONZERO_ATOL
+    first = int(big.argmax())
+    if big[first]:
+        lead = vec[first]
+        vec *= np.conj(lead) / np.abs(lead)
+        vec[first] = vec[first].real
+    vec /= _norm2(vec)
+
+    residual = _norm2(w @ vec - lam * vec)
+    if residual > RESIDUAL_RTOL * max(1.0, abs(lam)):
+        raise _residual_error(residual, lam)
+    return EigenPair(lam, vec)
 
 
 def max_eigpair(w: np.ndarray) -> EigenPair:
     """Largest eigenvalue and eigenvector of a Hermitian matrix, deterministically.
 
-    Tie-breaking for a degenerate top eigenspace: among the decomposition's
-    candidate eigenvectors, take the one maximizing the magnitude of its first
-    nonzero component, earliest column on ties. The global phase is fixed so
-    the first nonzero component is real positive.
+    The tie-break and phase conventions are those of top_eigpair.
     """
     w = np.asarray(w, dtype=np.complex128)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {w.shape}")
-    dev = float(np.max(np.abs(w - w.conj().T))) if w.size else 0.0
-    if dev > HERMITIAN_ATOL:
-        raise ValueError(
-            f"matrix is not Hermitian: max deviation {dev:.3e} exceeds {HERMITIAN_ATOL:.0e}"
-        )
-    try:
-        vals, vecs = np.linalg.eigh(w)
-    except np.linalg.LinAlgError as err:
-        raise ArithmeticError(f"Hermitian eigendecomposition did not converge: {err}") from err
+    _check_hermitian(w)
+    vals, vecs = _eigh(w)
+    return top_eigpair(w, vals, vecs)
 
-    lam = float(vals[-1])
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    ties = np.nonzero(vals >= lam - 64.0 * np.finfo(np.float64).eps * scale)[0]
 
-    best = None
-    best_mag = -1.0
-    for j in ties:
-        col = vecs[:, j]
-        nz = np.nonzero(np.abs(col) > _NONZERO_ATOL)[0]
-        mag = float(np.abs(col[nz[0]])) if nz.size else 0.0
-        if mag > best_mag:
-            best, best_mag = j, mag
-    vec = vecs[:, best].copy()
+def eigh_stack(w: np.ndarray) -> tuple:
+    """(vals, vecs) of every matrix in a Hermitian stack (T, N, N), checked.
 
-    nz = np.nonzero(np.abs(vec) > _NONZERO_ATOL)[0]
-    if nz.size:
-        lead = vec[nz[0]]
-        vec *= np.conj(lead) / np.abs(lead)
-        vec[nz[0]] = vec[nz[0]].real
-    vec /= np.linalg.norm(vec)
-
-    residual = float(np.linalg.norm(w @ vec - lam * vec))
-    if residual > RESIDUAL_RTOL * max(1.0, abs(lam)):
-        raise ArithmeticError(
-            f"eigenpair residual {residual:.3e} exceeds tolerance for eigenvalue {lam:.6g}"
-        )
-    return EigenPair(lam, vec)
+    One stacked eigh, bit-identical to T single calls. The stack passes the
+    same checks as max_eigpair: Hermiticity, convergence, and the residual of
+    every matrix's top eigenpair, taken here on the solver's own unit vector
+    (top_eigpair's phase and tie conventions move a residual by round-off
+    only).
+    """
+    _check_hermitian(w)
+    vals, vecs = _eigh(w)
+    lam = vals[:, -1]
+    top = vecs[:, :, -1]
+    res = np.linalg.norm(np.matmul(w, top[:, :, None])[:, :, 0] - lam[:, None] * top, axis=1)
+    bad = res > RESIDUAL_RTOL * np.maximum(1.0, np.abs(lam))
+    if bad.any():
+        j = int(bad.argmax())
+        raise _residual_error(float(res[j]), float(lam[j]))
+    return vals, vecs
 
 
 def quad_form(w: np.ndarray, x: np.ndarray) -> float:

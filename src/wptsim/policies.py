@@ -1,4 +1,4 @@
-"""Per-slot transmission policies.
+"""Transmission policies.
 
 All six policies are two-level: each slot they either transmit at peak power
 along the dominant eigenvector of a (weighted) combination of the channel
@@ -24,23 +24,27 @@ when they transmit:
 The queue-driven policies transmit on a strictly positive top eigenvalue; at
 exactly zero the beam contributes nothing to the weighted objective, and the
 policies stay silent. Beam amplitude is sqrt(p_peak), so transmit power is
-exactly p_peak. Queue updates are Z <- max(Z + deficit, 0); each decision
-exposes the per-queue deficits so a drift bound can be checked externally.
+exactly p_peak. Queue updates are Z <- max(Z + deficit, 0); each step
+returns the per-queue deficits so a drift bound can be checked externally.
 
-Each kind's per-slot step, needed parameters, queue sizes and optimal
-reference live in its PolicySpec entry of POLICIES; the calibrated default
-V formulas live in default_v.
+The threshold kinds carry no state, so their step decides a whole chunk of
+slots from one stacked eigensolve. The queue-driven steps depend on the
+queues, so they advance one slot at a time on a flat queue vector.
+
+Each kind's step, needed parameters, queue sizes and optimal reference live
+in its PolicySpec entry of POLICIES; the calibrated default V formulas live
+in default_v.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from wptsim.channel import ScenarioConfig
-from wptsim.linalg import max_eigpair, weighted_combine
+from wptsim.linalg import eigh_stack, hermitian_part, max_eigpair, top_eigpair, weighted_combine
 
 
 @dataclass
@@ -68,117 +72,84 @@ class PolicyParams:
             raise ValueError(f"p_min must be >= 0, got {self.p_min}")
 
 
-@dataclass
-class QueueState:
-    """Virtual queues of one policy instance (watt-slots) plus current targets."""
-
-    z: np.ndarray
-    g: np.ndarray
-    gamma: np.ndarray
-
-    def __post_init__(self):
-        self.z = np.asarray(self.z, dtype=np.float64)
-        self.g = np.asarray(self.g, dtype=np.float64)
-        self.gamma = np.asarray(self.gamma, dtype=np.float64)
-        if np.any(self.z < 0.0) or np.any(self.g < 0.0):
-            raise ValueError("queue values must be nonnegative")
-
-
-@dataclass
-class SlotDecision:
-    """One slot's outcome: the beam, its power, and per-queue deficits.
-
-    deficits lists the arrival-minus-service increments of this slot's queue
-    updates, constraint queues (z) first, then auxiliary queues (g); each
-    queue evolved as q <- max(q + deficit, 0).
-    """
-
-    beam: np.ndarray
-    transmitted_power: float
-    received_power: np.ndarray
-    deficits: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-
 def _received(ws: np.ndarray, beam: np.ndarray, efficiency: float) -> np.ndarray:
     """Per-receiver harvested power zeta * beam^H W_i beam."""
     return efficiency * np.einsum("n,knm,m->k", beam.conj(), ws, beam).real
 
 
-def _two_level(pair, on, p_peak, ws, efficiency) -> tuple:
-    """(beam, power, received): peak power along the top eigenvector if on, else silence."""
-    if on:
-        beam = np.sqrt(p_peak) * pair.vector
-        return beam, p_peak, _received(ws, beam, efficiency)
-    return np.zeros(ws.shape[1], dtype=np.complex128), 0.0, np.zeros(ws.shape[0])
+# ---------------------------------------------------------------------------
+# optimal threshold policies (stateless): one chunk of slots per call
+
+
+def _threshold_chunk(w, lambda_th, p_peak, ws_block, efficiency) -> np.ndarray:
+    """Received powers (n_on, K) of the slots whose lambda_max(w[t]) clears
+    lambda_th, in slot order; the other slots of the chunk stay silent.
+
+    One stacked eigh serves the whole chunk; the beam is built only for the
+    transmitting slots, by the same top_eigpair that max_eigpair uses.
+    """
+    vals, vecs = eigh_stack(w)
+    on = np.flatnonzero(vals[:, -1] >= lambda_th)
+    recv = np.empty((on.size, ws_block.shape[1]))
+    amp = np.sqrt(p_peak)
+    for i, t in enumerate(on):
+        pair = top_eigpair(w[t], vals[t], vecs[t])
+        recv[i] = _received(ws_block[t], amp * pair.vector, efficiency)
+    return recv
+
+
+def _core_optimal_energy(params, threshold, ws_block, efficiency):
+    return _threshold_chunk(ws_block[:, 0], threshold.lambda_th, params.p_peak, ws_block, efficiency)
+
+
+def _core_optimal_power(params, threshold, ws_block, efficiency):
+    # sum_i W_i: unit weights make every product exact, so this is the sum
+    # weighted_combine(ones, ws) forms, bit for bit whenever the BLAS adds
+    # the receivers in order (always for K <= 2)
+    summed = hermitian_part(ws_block.sum(axis=1))
+    return _threshold_chunk(summed, threshold.lambda_th, params.p_peak, ws_block, efficiency)
 
 
 # ---------------------------------------------------------------------------
-# optimal threshold policies (stateless)
+# queue-driven policies: one slot per call on the queue vector q, constraint
+# queues (z) first, then auxiliary queues (g)
 
 
-def _core_optimal_energy(params, threshold, ws, efficiency):
-    pair = max_eigpair(ws[0])
-    return SlotDecision(*_two_level(pair, pair.value >= threshold.lambda_th, params.p_peak, ws, efficiency))
+def _beam(weights, shift, p_peak, ws, efficiency) -> tuple:
+    """(power, received): peak power along the top eigenvector of
+    sum_i weights[i] W_i - shift I if its eigenvalue is positive, else silence."""
+    pair = max_eigpair(weighted_combine(weights, ws, shift))
+    if pair.value > 0.0:
+        return p_peak, _received(ws, np.sqrt(p_peak) * pair.vector, efficiency)
+    return 0.0, np.zeros(ws.shape[0])
 
 
-def _core_optimal_power(params, threshold, ws, efficiency):
-    pair = max_eigpair(weighted_combine(np.ones(ws.shape[0]), ws, 0.0))
-    return SlotDecision(*_two_level(pair, pair.value >= threshold.lambda_th, params.p_peak, ws, efficiency))
+def _core_mdpp_energy(q, params, ws, efficiency):
+    power, recv = _beam(q, params.v, params.p_peak, ws, efficiency)
+    return power, recv, np.asarray(params.p_targets) - recv
 
 
-# ---------------------------------------------------------------------------
-# queue-driven policies
+def _core_mdpp_power(q, params, ws, efficiency):
+    power, recv = _beam(np.full(ws.shape[0], params.v), q[0], params.p_peak, ws, efficiency)
+    return power, recv, np.array([power - params.p_avg])
 
 
-def _core_mdpp_energy(state, params, ws, efficiency):
-    pair = max_eigpair(weighted_combine(state.z, ws, shift=params.v))
-    beam, power, recv = _two_level(pair, pair.value > 0.0, params.p_peak, ws, efficiency)
-    deficits = np.asarray(params.p_targets) - recv
-    new_z = np.maximum(state.z + deficits, 0.0)
-    dec = SlotDecision(beam, power, recv, deficits)
-    return dec, QueueState(new_z, state.g, state.gamma)
+def _core_mmf(q, params, ws, efficiency):
+    g = q[1:]
+    gamma = np.full(ws.shape[0], params.p_peak if params.v > float(g.sum()) else 0.0)
+    power, recv = _beam(g, q[0], params.p_peak, ws, efficiency)
+    return power, recv, np.concatenate(([power - params.p_avg], gamma - recv))
 
 
-def _core_mdpp_power(state, params, ws, efficiency):
+def _core_qpf(q, params, ws, efficiency):
     k = ws.shape[0]
-    pair = max_eigpair(weighted_combine(np.full(k, params.v), ws, shift=state.z[0]))
-    beam, power, recv = _two_level(pair, pair.value > 0.0, params.p_peak, ws, efficiency)
-    deficit = power - params.p_avg
-    new_z = np.maximum(state.z + deficit, 0.0)
-    dec = SlotDecision(beam, power, recv, np.array([deficit]))
-    return dec, QueueState(new_z, state.g, state.gamma)
-
-
-def _core_mmf(state, params, ws, efficiency):
-    k = ws.shape[0]
-    gamma_on = params.v > float(np.sum(state.g))
-    gamma = np.full(k, params.p_peak if gamma_on else 0.0)
-    pair = max_eigpair(weighted_combine(state.g, ws, shift=state.z[0]))
-    beam, power, recv = _two_level(pair, pair.value > 0.0, params.p_peak, ws, efficiency)
-    z_deficit = power - params.p_avg
-    g_deficits = gamma - recv
-    new_z = np.maximum(state.z + z_deficit, 0.0)
-    new_g = np.maximum(state.g + g_deficits, 0.0)
-    dec = SlotDecision(beam, power, recv, np.concatenate(([z_deficit], g_deficits)))
-    return dec, QueueState(new_z, new_g, gamma)
-
-
-def _core_qpf(state, params, ws, efficiency):
-    k = ws.shape[0]
-    g = state.g
+    z, g = q[: k + 1], q[k + 1 :]
     # gamma_i = min(V / G_i, p_peak); an empty queue gets the cap (V/0+ -> inf)
     gamma = np.full(k, params.p_peak)
     pos = g > 0.0
     gamma[pos] = np.minimum(params.v / g[pos], params.p_peak)
-    pair = max_eigpair(weighted_combine(state.z[:k] + g, ws, shift=state.z[k]))
-    beam, power, recv = _two_level(pair, pair.value > 0.0, params.p_peak, ws, efficiency)
-    floor_deficits = params.p_min - recv
-    budget_deficit = power - params.p_avg
-    g_deficits = gamma - recv
-    new_z = np.maximum(np.concatenate((state.z[:k] + floor_deficits, [state.z[k] + budget_deficit])), 0.0)
-    new_g = np.maximum(g + g_deficits, 0.0)
-    dec = SlotDecision(beam, power, recv, np.concatenate((floor_deficits, [budget_deficit], g_deficits)))
-    return dec, QueueState(new_z, new_g, gamma)
+    power, recv = _beam(z[:k] + g, z[k], params.p_peak, ws, efficiency)
+    return power, recv, np.concatenate((params.p_min - recv, [power - params.p_avg], gamma - recv))
 
 
 # ---------------------------------------------------------------------------
@@ -189,14 +160,18 @@ def _core_qpf(state, params, ws, efficiency):
 class PolicySpec:
     """The facts that set one policy kind apart from the others.
 
-    step advances one slot on the slot's channel Grams ws, shape (K, N, N):
-    step(params, threshold, ws, efficiency) -> SlotDecision for the stateless
-    threshold kinds, step(state, params, ws, efficiency) -> (SlotDecision,
-    QueueState) for the queue-driven ones. needs names the PolicyParams
-    fields the kind reads. queues maps the receiver count K to the sizes of
-    the constraint (z) and auxiliary (g) queues, None for a stateless kind.
-    compare is the optimal kind a queue-driven kind is measured against and
-    the summary column the gap is read on.
+    step advances the policy on the channel Grams. A stateless threshold
+    kind takes a whole chunk, ws_block of shape (T, K, N, N):
+    step(params, threshold, ws_block, efficiency) returns the received
+    powers (n_on, K) of the chunk's transmitting slots, in slot order. A
+    queue-driven kind takes one slot, ws of shape (K, N, N), and the queue
+    vector q (constraint queues z first, then auxiliary queues g):
+    step(q, params, ws, efficiency) returns (power, received, deficits), and
+    the caller applies q <- max(q + deficits, 0). needs names the
+    PolicyParams fields the kind reads. queues maps the receiver count K to
+    the sizes of z and g, None for a stateless kind. compare is the optimal
+    kind a queue-driven kind is measured against and the summary column the
+    gap is read on.
     """
 
     step: Callable
@@ -236,29 +211,23 @@ def policy_spec(kind: str) -> PolicySpec:
     return POLICIES[kind]
 
 
-def validate_params_for(kind: str, params: PolicyParams, n_receivers: int) -> None:
-    """Check that the fields a policy relies on are present and consistent."""
+def validate_params_for(kind: str, params: PolicyParams, n_receivers: int, skip: tuple = ()) -> None:
+    """Check that the fields a policy relies on, except those in skip, are
+    present and consistent."""
     spec = policy_spec(kind)
     if spec.single_receiver and n_receivers != 1:
         raise ValueError(f"{kind} is single-receiver only")
     for name in spec.needs:
+        if name in skip:
+            continue
         value = getattr(params, name)
         if value is None or (name == "p_targets" and len(value) != n_receivers):
             raise ValueError(f"{kind} needs {_NEEDS[name]}")
 
 
-def init_queue_state(kind: str, n_receivers: int) -> QueueState:
-    """All-zero queues, sized for the given policy."""
-    queues = policy_spec(kind).queues
-    if queues is None:
-        raise ValueError(f"policy {kind!r} keeps no queue state")
-    nz, ng = queues(n_receivers)
-    return QueueState(np.zeros(nz), np.zeros(ng), np.zeros(ng))
-
-
-def core_step(kind: str, state, params, ws, efficiency):
-    """Advance a queue-driven policy one slot on precomputed Grams."""
-    return POLICIES[kind].step(state, params, ws, efficiency)
+def core_step(kind: str, q, params, ws, efficiency):
+    """Advance a queue-driven policy one slot: (power, received, deficits)."""
+    return POLICIES[kind].step(q, params, ws, efficiency)
 
 
 def gap_bound_const(kind: str, n_receivers: int, p_peak: float) -> Optional[float]:

@@ -338,6 +338,13 @@ class TestCli:
         assert main(["compare", "--config", config, "--out", str(tmp_path / "c.csv")]) == 1
         assert "queue-driven" in capsys.readouterr().err
 
+    def test_missing_policy_field_is_named(self, tmp_path, capsys):
+        data = {**MINIMAL, "policy": {"kind": "mmf", "p_peak": 5.0}}
+        config = write_config(tmp_path, data)
+        assert main(["run", "--config", config, "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "p_avg" in err and "Traceback" not in err
+
     def test_infeasible_target_reported_as_error(self, tmp_path, capsys):
         data = {
             "scenario": {**MINIMAL["scenario"], "efficiency": 0.0},

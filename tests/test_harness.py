@@ -12,6 +12,7 @@ import pytest
 
 from wptsim import harness
 from wptsim.channel import KAPPA_LOS_LIMIT, ScenarioConfig
+from wptsim.config import load_preset
 from wptsim.harness import (
     DRIFT_SLACK,
     RunSummary,
@@ -135,12 +136,40 @@ class TestRunBookkeeping:
     @pytest.mark.parametrize("kind", POLICY_KINDS)
     def test_summary_does_not_depend_on_chunk_size(self, kind, monkeypatch):
         positions = TWO_RX[:1] if kind == "optimal-energy" else TWO_RX
-        cfg = scenario(slots=40, positions=positions)
+        cfg = scenario(slots=3000, positions=positions)
         params = PolicyParams(p_peak=5.0, p_avg=2.5, p_targets=(0.005,) * len(positions), p_min=0.002)
         want = run(cfg, params, kind, warmup_samples=512).to_row()
-        for chunk in (1, 7):
+        for chunk in (1, 7, 4096):
             monkeypatch.setattr(harness, "_CHUNK", chunk)
             assert run(cfg, params, kind, warmup_samples=512).to_row() == want
+
+    def test_chunk_size_cannot_move_the_last_bits(self, monkeypatch):
+        # a case whose summary once moved by an ulp between small and large
+        # chunks, because the Gram stacks' memory layout followed their size
+        exp = load_preset("fig7-baseline")
+        cfg = replace(exp.scenario, slots=3000, seed=35)
+        want = run(cfg, exp.params, "mdpp-power").to_row()
+        for chunk in (1, 7, 4096):
+            monkeypatch.setattr(harness, "_CHUNK", chunk)
+            assert run(cfg, exp.params, "mdpp-power").to_row() == want
+
+    def test_queues_outside_the_orthant_are_rejected(self, monkeypatch):
+        def nan_step(kind, q, params, ws, efficiency):
+            return 0.0, np.zeros(ws.shape[0]), np.full(q.shape, np.nan)
+
+        monkeypatch.setattr(harness, "core_step", nan_step)
+        with pytest.raises(ArithmeticError, match="nonnegative"):
+            run(scenario(slots=10), PolicyParams(p_peak=5.0, v=1.0, p_avg=2.5), "mdpp-power")
+
+    @pytest.mark.parametrize("kind", QUEUE_DRIVEN_KINDS)
+    def test_missing_field_is_named_before_v_is_derived(self, kind):
+        # default_v reads these fields, so they must be named before it runs
+        if kind == "mdpp-energy":
+            want = "needs one delivery target per receiver"
+        else:
+            want = "needs the average power budget p_avg"
+        with pytest.raises(ValueError, match=want):
+            run(scenario(slots=10), PolicyParams(p_peak=5.0), kind)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown policy kind"):
