@@ -38,7 +38,6 @@ from wptsim.config import (
     load_preset,
     load_experiment_file,
     preset_names,
-    serialize_experiment,
 )
 
 __version__ = "0.1.0"
@@ -73,6 +72,5 @@ __all__ = [
     "load_preset",
     "load_experiment_file",
     "preset_names",
-    "serialize_experiment",
     "__version__",
 ]

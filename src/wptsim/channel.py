@@ -23,6 +23,7 @@ used for threshold estimation) are disjoint by construction.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,19 @@ DEFAULT_REFERENCE_GAIN = 1e-3 * NEAR_DISTANCE_M**DEFAULT_PATHLOSS_EXPONENT
 _EVAL_STREAM = 0
 _WARMUP_STREAM = 1
 
+# slots (and warm-up samples) sampled and solved per block: small enough that
+# a block's arrays (about 1 MB each for two 4x8 receivers) barely show in the
+# peak memory, large enough that the per-block calls cost little per slot
+_CHUNK = 512
+
+
+def _as_int(name: str, value) -> int:
+    """value as a Python int; a float, a bool or any other non-integer is a
+    ValueError naming the field, never a silent truncation."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -62,8 +76,18 @@ class ScenarioConfig:
     los_mode: str = "ones"
 
     def __post_init__(self):
-        object.__setattr__(self, "positions", tuple(tuple(float(c) for c in p) for p in self.positions))
-        object.__setattr__(self, "ap_position", tuple(float(c) for c in self.ap_position))
+        for name in ("n_tx", "n_rx", "slots", "seed"):
+            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
+        try:
+            positions = tuple(tuple(float(c) for c in p) for p in self.positions)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"positions must be a list of [x, y] pairs, got {self.positions!r}") from None
+        try:
+            ap_position = tuple(float(c) for c in self.ap_position)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"ap_position must be an [x, y] pair, got {self.ap_position!r}") from None
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "ap_position", ap_position)
         if self.n_rx < 1 or self.n_tx <= self.n_rx:
             raise ValueError(
                 f"need n_tx > n_rx >= 1 (more transmit than receive antennas), "
@@ -166,7 +190,7 @@ def sample_slot_block(cfg: ScenarioConfig, rng: np.random.Generator, count: int)
     return amp[None, :, None, None] * _unit_fading_block(cfg, rng, count)
 
 
-def empirical_gain_spectrum(cfg, combine_rule: str, n_samples: int, rng, chunk: int = 512):
+def empirical_gain_spectrum(cfg, combine_rule: str, n_samples: int, rng):
     """Sample the maximal eigenvalue of the (combined) channel Gram.
 
     combine_rule "single" samples lambda_max(W_1) of the first receiver;
@@ -183,11 +207,11 @@ def empirical_gain_spectrum(cfg, combine_rule: str, n_samples: int, rng, chunk: 
     samples = np.empty(n_samples, dtype=np.float64)
     done = 0
     while done < n_samples:
-        take = min(chunk, n_samples - done)
+        take = min(_CHUNK, n_samples - done)
         h = _unit_fading_block(cfg, rng, take)[:, : amp.shape[0]]  # unit gain, (take, K, M, N)
         h *= amp  # in place: a scaled copy would raise the peak memory by one block
         # sum_i W_i is the Gram of the receivers' channels stacked row-wise
         w = grams(h.reshape(take, -1, cfg.n_tx))
         samples[done : done + take] = cfg.reference_gain * np.linalg.eigvalsh(w)[:, -1]
         done += take
-    return EmpiricalSpectrum(np.sort(samples))
+    return EmpiricalSpectrum(samples)

@@ -125,15 +125,10 @@ def _write_rows(path: str, rows: list, meta: dict, fmt: str) -> None:
         writer.writerows(rows)
 
 
-def _seeds(exp: Experiment, reps) -> list:
-    count = reps if reps is not None else 1
-    return [exp.scenario.seed + r for r in range(count)]
-
-
 def cmd_run(args, exp: Experiment) -> list:
     rows = []
-    for rep, seed in enumerate(_seeds(exp, args.reps)):
-        cfg = replace(exp.scenario, seed=seed)
+    for rep in range(args.reps or 1):
+        cfg = replace(exp.scenario, seed=exp.scenario.seed + rep)
         for kind in exp.kinds:
             summary = run(cfg, exp.params, kind)
             row = summary.to_row()
@@ -157,19 +152,11 @@ def cmd_compare(args, exp: Experiment) -> list:
         )
     kind = queue_kinds[0]
     reference, metric = POLICIES[kind].compare
-    rows = []
-    for rep, seed in enumerate(_seeds(exp, args.reps)):
-        cfg = replace(exp.scenario, seed=seed)
-        near = run(cfg, exp.params, kind)
-        opt = run(cfg, exp.params, reference)
-        for summary in (near, opt):
-            row = summary.to_row()
-            row["rep"] = rep
-            row["gap_metric"] = metric
-            if summary is near:
-                row["gap"] = getattr(near, metric) - getattr(opt, metric)
-                row["b_over_v"] = near.gap_bound / near.v
-            rows.append(row)
+    rows = cmd_run(args, replace(exp, kinds=(kind, reference)))
+    for near, opt in zip(rows[::2], rows[1::2]):
+        near["gap_metric"] = opt["gap_metric"] = metric
+        near["gap"] = near[metric] - opt[metric]
+        near["b_over_v"] = near["gap_bound"] / near["v"]
     return rows
 
 

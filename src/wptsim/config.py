@@ -9,29 +9,27 @@ Config files are YAML with up to four top-level entries:
 
 Explicit sections override the expanded preset key-by-key. Parsing is
 strict: any unknown key fails with its full key path, so a typo in a sweep
-key cannot silently invalidate an experiment.
+key cannot silently invalidate an experiment. Each section's keys are the
+fields of its dataclass, and the dataclass alone checks and converts their
+values; its errors come back as ConfigErrors naming the section.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Optional
 
 import yaml
 
 from wptsim.channel import ScenarioConfig
 from wptsim.harness import SweepSpec
-from wptsim.policies import POLICY_KINDS, PolicyParams
+from wptsim.policies import PolicyParams, policy_spec
 
 
 class ConfigError(ValueError):
     """Invalid configuration; the message names the offending key path."""
 
-
-_SCENARIO_KEYS = tuple(f.name for f in fields(ScenarioConfig))
-_POLICY_KEYS = ("kind",) + tuple(f.name for f in fields(PolicyParams))
-_SWEEP_KEYS = ("parameter", "values", "repetitions")
 
 # the reference two-receiver desk topology: access point at the origin,
 # one receiver on the diagonal at 0.3,0.3 and one further out on the y axis
@@ -59,7 +57,7 @@ def _preset_dicts() -> dict:
         "positions": [list(NEAR_POSITION), list(FAR_POSITION)],
         "slots": 100_000,
     }
-    return {
+    presets = {
         # average transmit power of the energy-limited controller vs the
         # transmit array size, two receivers, 10 mW targets
         "fig4": {
@@ -104,22 +102,14 @@ def _preset_dicts() -> dict:
             "sweep": {"parameter": "d_r", "values": [1.0, 1.25, 1.5, 2.0], "repetitions": 3},
         },
     }
+    # same runs as fig8a; the total-received column is read instead of the
+    # per-receiver ones
+    presets["fig8b"] = presets["fig8a"]
+    return presets
 
 
 def preset_names() -> tuple:
-    names = _preset_dicts()
-    # same runs as fig8a; the total-received column is read instead of the
-    # per-receiver ones
-    return tuple(sorted(names)) + ("fig8b",)
-
-
-def _preset_mapping(name: str) -> dict:
-    presets = _preset_dicts()
-    presets["fig8b"] = presets["fig8a"]
-    if name not in presets:
-        known = ", ".join(sorted(presets))
-        raise ConfigError(f"preset: unknown preset {name!r}; known presets: {known}")
-    return presets[name]
+    return tuple(sorted(_preset_dicts()))
 
 
 def _check_keys(mapping: dict, allowed, section: str) -> None:
@@ -138,73 +128,37 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
-def _positions(raw, path: str):
-    try:
-        pts = tuple((float(p[0]), float(p[1])) for p in raw)
-    except (TypeError, ValueError, IndexError):
-        raise ConfigError(f"{path}: expected a list of [x, y] pairs") from None
-    if not pts:
-        raise ConfigError(f"{path}: at least one receiver position required")
-    return pts
+def _build(cls, raw: dict, section: str):
+    """cls(**raw) with the field names of cls as the only allowed keys.
 
-
-def _build_scenario(raw: dict) -> ScenarioConfig:
-    _check_keys(raw, _SCENARIO_KEYS, "scenario")
-    kwargs = dict(raw)
-    if "positions" in kwargs:
-        kwargs["positions"] = _positions(kwargs["positions"], "scenario.positions")
-    if "ap_position" in kwargs:
-        ap = kwargs["ap_position"]
-        try:
-            kwargs["ap_position"] = (float(ap[0]), float(ap[1]))
-        except (TypeError, ValueError, IndexError):
-            raise ConfigError("scenario.ap_position: expected an [x, y] pair") from None
+    A field without a default is required. The dataclass checks and
+    converts the values itself; its TypeError or ValueError is re-raised as
+    a ConfigError naming the section.
+    """
+    _check_keys(raw, [f.name for f in fields(cls)], section)
+    for f in fields(cls):
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in raw:
+            raise ConfigError(f"{section}.{f.name}: required")
     try:
-        return ScenarioConfig(**kwargs)
+        return cls(**raw)
     except (TypeError, ValueError) as err:
-        raise ConfigError(f"scenario: {err}") from None
+        raise ConfigError(f"{section}: {err}") from None
 
 
-def _build_policy(raw: dict):
-    _check_keys(raw, _POLICY_KEYS, "policy")
-    if "kind" not in raw:
+def _kinds(policy: dict) -> tuple:
+    """The policy section's kind entry, one name or a list of them, as a tuple."""
+    if "kind" not in policy:
         raise ConfigError("policy.kind: required")
-    kinds = raw["kind"]
-    if isinstance(kinds, str):
-        kinds = [kinds]
-    kinds = tuple(str(k) for k in kinds)
-    for k in kinds:
-        if k not in POLICY_KINDS:
-            raise ConfigError(
-                f"policy.kind: unknown policy {k!r}; expected one of {', '.join(POLICY_KINDS)}"
-            )
-    if "p_peak" not in raw:
-        raise ConfigError("policy.p_peak: required")
-    kwargs = {k: v for k, v in raw.items() if k != "kind"}
-    if kwargs.get("p_targets") is not None:
+    kinds = policy["kind"]
+    kinds = [kinds] if isinstance(kinds, str) else kinds
+    if not isinstance(kinds, (list, tuple)) or not kinds or not all(isinstance(k, str) for k in kinds):
+        raise ConfigError(f"policy.kind: expected a policy name or a list of them, got {policy['kind']!r}")
+    for kind in kinds:
         try:
-            kwargs["p_targets"] = tuple(float(t) for t in kwargs["p_targets"])
-        except (TypeError, ValueError):
-            raise ConfigError("policy.p_targets: expected a list of watts") from None
-    try:
-        return PolicyParams(**kwargs), kinds
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"policy: {err}") from None
-
-
-def _build_sweep(raw: dict) -> SweepSpec:
-    _check_keys(raw, _SWEEP_KEYS, "sweep")
-    for key in ("parameter", "values"):
-        if key not in raw:
-            raise ConfigError(f"sweep.{key}: required")
-    try:
-        return SweepSpec(
-            parameter=str(raw["parameter"]),
-            values=tuple(raw["values"]),
-            repetitions=int(raw.get("repetitions", 1)),
-        )
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"sweep: {err}") from None
+            policy_spec(kind)
+        except ValueError as err:
+            raise ConfigError(f"policy.kind: {err}") from None
+    return tuple(kinds)
 
 
 def experiment_from_mapping(data: dict, name: str = "custom") -> Experiment:
@@ -213,22 +167,24 @@ def experiment_from_mapping(data: dict, name: str = "custom") -> Experiment:
         raise ConfigError("top level: expected a mapping")
     _check_keys(data, ("preset", "scenario", "policy", "sweep"), "top level")
     if "preset" in data:
-        preset = _preset_mapping(str(data["preset"]))
-        name = str(data["preset"])
-        data = _merge(preset, {k: v for k, v in data.items() if k != "preset"})
+        name, presets = str(data["preset"]), _preset_dicts()
+        if name not in presets:
+            raise ConfigError(f"preset: unknown preset {name!r}; known presets: {', '.join(sorted(presets))}")
+        data = _merge(presets[name], {k: v for k, v in data.items() if k != "preset"})
     for section in ("scenario", "policy"):
         if section not in data:
             raise ConfigError(f"{section}: required section missing")
-        if not isinstance(data[section], dict):
+    for section, raw in data.items():
+        if not isinstance(raw, dict):
             raise ConfigError(f"{section}: expected a mapping")
-    scenario = _build_scenario(data["scenario"])
-    params, kinds = _build_policy(data["policy"])
-    sweep = None
-    if "sweep" in data:
-        if not isinstance(data["sweep"], dict):
-            raise ConfigError("sweep: expected a mapping")
-        sweep = _build_sweep(data["sweep"])
-    return Experiment(scenario=scenario, params=params, kinds=kinds, sweep=sweep, name=name)
+    policy = data["policy"]
+    return Experiment(
+        scenario=_build(ScenarioConfig, data["scenario"], "scenario"),
+        params=_build(PolicyParams, {k: v for k, v in policy.items() if k != "kind"}, "policy"),
+        kinds=_kinds(policy),
+        sweep=_build(SweepSpec, data["sweep"], "sweep") if "sweep" in data else None,
+        name=name,
+    )
 
 
 def load_preset(name: str) -> Experiment:
@@ -249,27 +205,15 @@ def load_experiment_file(path: str) -> Experiment:
 
 
 def experiment_to_mapping(exp: Experiment) -> dict:
-    """Full effective config, every default echoed explicitly."""
-    cfg = exp.scenario
+    """Full effective config, every default echoed explicitly; unset policy
+    fields stay implicit."""
     data = {
-        "scenario": {
-            **asdict(cfg),
-            "positions": [list(p) for p in cfg.positions],
-            "ap_position": list(cfg.ap_position),
-        },
+        "scenario": asdict(exp.scenario),
         "policy": {
             "kind": exp.kinds[0] if len(exp.kinds) == 1 else list(exp.kinds),
-            **{k: list(v) if isinstance(v, tuple) else v for k, v in asdict(exp.params).items() if v is not None},
+            **{k: v for k, v in asdict(exp.params).items() if v is not None},
         },
     }
     if exp.sweep is not None:
-        data["sweep"] = {
-            "parameter": exp.sweep.parameter,
-            "values": list(exp.sweep.values),
-            "repetitions": exp.sweep.repetitions,
-        }
+        data["sweep"] = asdict(exp.sweep)
     return data
-
-
-def serialize_experiment(exp: Experiment) -> str:
-    return yaml.safe_dump(experiment_to_mapping(exp), sort_keys=False)

@@ -29,6 +29,8 @@ import numpy as np
 
 from wptsim.channel import (
     ScenarioConfig,
+    _CHUNK,
+    _as_int,
     empirical_gain_spectrum,
     evaluation_rng,
     sample_slot_block,
@@ -54,10 +56,6 @@ from wptsim.threshold import (
 WARMUP_SAMPLES = 20_000
 QUEUE_RATE_TOL = 1e-3
 DRIFT_SLACK = 1e-9
-# slots sampled and solved per block: small enough that a block's arrays
-# (about 1 MB each for two 4x8 receivers) barely show in the peak memory,
-# large enough that the per-block calls cost little per slot
-_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -126,9 +124,10 @@ class SweepSpec:
             raise ValueError(
                 f"swept parameter must be one of n_tx, v, d_r, p_target, got {self.parameter!r}"
             )
+        if not isinstance(self.values, (list, tuple)) or len(self.values) == 0:
+            raise ValueError(f"values must be a list of at least one value, got {self.values!r}")
         object.__setattr__(self, "values", tuple(self.values))
-        if len(self.values) == 0:
-            raise ValueError("sweep needs at least one value")
+        object.__setattr__(self, "repetitions", _as_int("repetitions", self.repetitions))
         if self.repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
 
@@ -279,7 +278,7 @@ def run(
 def apply_sweep_value(cfg: ScenarioConfig, params: PolicyParams, parameter: str, value):
     """Return (cfg, params) with one swept parameter applied."""
     if parameter == "n_tx":
-        return replace(cfg, n_tx=int(value)), params
+        return replace(cfg, n_tx=value), params
     if parameter == "v":
         return cfg, replace(params, v=float(value))
     if parameter == "p_target":
@@ -298,7 +297,6 @@ def sweep(
     base_params: PolicyParams,
     spec: SweepSpec,
     policy_kinds: Sequence[str],
-    warmup_samples: int = WARMUP_SAMPLES,
 ) -> list:
     """Run a one-parameter sweep; one row per (point, repetition, policy).
 
@@ -307,8 +305,6 @@ def sweep(
     A failing point is recorded as a row with an "error" field rather than
     aborting the sweep.
     """
-    if isinstance(policy_kinds, str):
-        policy_kinds = [policy_kinds]
     rows = []
     for p_idx, value in enumerate(spec.values):
         for rep in range(spec.repetitions):
@@ -324,7 +320,7 @@ def sweep(
                 try:
                     cfg, params = apply_sweep_value(base_cfg, base_params, spec.parameter, value)
                     cfg = replace(cfg, seed=seed)
-                    summary = run(cfg, params, kind, warmup_samples=warmup_samples)
+                    summary = run(cfg, params, kind)
                     row = summary.to_row()
                     row.update(prov)
                 except (ValueError, ArithmeticError) as err:

@@ -65,7 +65,10 @@ class PolicyParams:
         if self.p_avg is not None and not 0.0 < self.p_avg <= self.p_peak:
             raise ValueError(f"need 0 < p_avg <= p_peak, got p_avg={self.p_avg}")
         if self.p_targets is not None:
-            self.p_targets = tuple(float(p) for p in self.p_targets)
+            try:
+                self.p_targets = tuple(float(p) for p in self.p_targets)
+            except (TypeError, ValueError, OverflowError):
+                raise ValueError(f"p_targets must be a list of watts, got {self.p_targets!r}") from None
             if any(p < 0.0 for p in self.p_targets):
                 raise ValueError(f"p_targets must be >= 0, got {self.p_targets}")
         if self.p_min is not None and self.p_min < 0.0:

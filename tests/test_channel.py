@@ -46,6 +46,16 @@ class TestScenarioValidation:
             make_cfg(slots=0)
         with pytest.raises(ValueError):
             make_cfg(los_mode="mystery")
+        # integer fields take no float or bool, which would be truncated or
+        # crash numpy; numpy integers become Python ints
+        for name, value in (("n_tx", 8.0), ("n_rx", 2.5), ("slots", 40.5), ("seed", 1.5), ("seed", True)):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                make_cfg(**{name: value})
+        assert type(make_cfg(seed=np.int64(3)).seed) is int
+        with pytest.raises(ValueError, match="positions"):
+            make_cfg(positions=5)
+        with pytest.raises(ValueError, match="ap_position"):
+            make_cfg(ap_position="ab")
 
     def test_zero_reference_gain_allowed(self):
         assert make_cfg(reference_gain=0.0).gains()[0] == 0.0

@@ -13,7 +13,6 @@ from wptsim.config import (
     load_experiment_file,
     load_preset,
     preset_names,
-    serialize_experiment,
 )
 
 MINIMAL = {
@@ -58,6 +57,20 @@ def read_csv_with_meta(path):
     meta = json.loads("".join(meta_lines))
     rows = list(csv.DictReader(body))
     return meta, rows
+
+
+# (section, key, value) inputs that once got past the parser: a non-string
+# kind raised TypeError, a float n_tx or slots crashed the run in numpy, and
+# a float seed ran the truncated seed under the float's name
+MALFORMED = [
+    ("policy", "kind", 5),
+    ("policy", "kind", None),
+    ("policy", "kind", []),
+    ("scenario", "n_tx", 4.5),
+    ("scenario", "slots", 40.5),
+    ("scenario", "seed", 1.5),
+    ("scenario", "seed", True),
+]
 
 
 class TestPresets:
@@ -151,6 +164,11 @@ class TestStrictParsing:
             )
         with pytest.raises(ConfigError, match="top level"):
             experiment_from_mapping([1, 2])
+        for section, key, value in MALFORMED:
+            data = {k: dict(v) for k, v in MINIMAL.items()}
+            data[section][key] = value
+            with pytest.raises(ConfigError, match=f"{section}: .*{key}|{section}.{key}"):
+                experiment_from_mapping(data)
 
     def test_file_loading_errors(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -169,7 +187,7 @@ class TestRoundTrip:
     @pytest.mark.parametrize("name", sorted(set(preset_names())))
     def test_presets_survive_serialization(self, name):
         exp = load_preset(name)
-        text = serialize_experiment(exp)
+        text = yaml.safe_dump(experiment_to_mapping(exp))
         again = experiment_from_mapping(yaml.safe_load(text))
         assert again.scenario == exp.scenario
         assert again.params == exp.params
@@ -203,7 +221,7 @@ class TestRoundTrip:
                 "sweep": {"parameter": "d_r", "values": [1.0, 2.0], "repetitions": 2},
             }
         )
-        again = experiment_from_mapping(yaml.safe_load(serialize_experiment(exp)))
+        again = experiment_from_mapping(yaml.safe_load(yaml.safe_dump(experiment_to_mapping(exp))))
         assert (again.scenario, again.params, again.kinds, again.sweep) == (
             exp.scenario,
             exp.params,
@@ -337,6 +355,16 @@ class TestCli:
         config = write_config(tmp_path, data)
         assert main(["compare", "--config", config, "--out", str(tmp_path / "c.csv")]) == 1
         assert "queue-driven" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, value", MALFORMED)
+    def test_malformed_value_is_named_without_traceback(self, tmp_path, capsys, section, key, value):
+        data = {k: dict(v) for k, v in MINIMAL.items()}
+        data[section][key] = value
+        config = write_config(tmp_path, data)
+        assert main(["run", "--config", config, "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_missing_policy_field_is_named(self, tmp_path, capsys):
         data = {**MINIMAL, "policy": {"kind": "mmf", "p_peak": 5.0}}

@@ -227,6 +227,9 @@ class TestSweep:
         assert len(rows) == 2
         assert all("error" in r for r in rows)
         assert "two receivers" in rows[0]["error"]
+        # a non-integer antenna count is an error row, not a truncated run
+        rows = sweep(scenario(slots=20), self.PARAMS, SweepSpec("n_tx", (4.5,)), ["mdpp-power"])
+        assert rows[0]["sweep_value"] == 4.5 and "n_tx must be an integer" in rows[0]["error"]
 
     def test_multi_policy_rows_share_seeds(self):
         cfg = scenario(slots=20)
@@ -242,6 +245,10 @@ class TestSweep:
             SweepSpec("n_tx", ())
         with pytest.raises(ValueError, match="repetitions"):
             SweepSpec("n_tx", (4,), repetitions=0)
+        with pytest.raises(ValueError, match="repetitions must be an integer"):
+            SweepSpec("n_tx", (4,), repetitions=1.5)
+        with pytest.raises(ValueError, match="values must be a list"):
+            SweepSpec("n_tx", 4)
 
     def test_apply_sweep_value(self):
         cfg = scenario()

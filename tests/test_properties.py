@@ -1,4 +1,5 @@
-"""Property tests (hypothesis): the Hermiticity gate and the queue update.
+"""Property tests (hypothesis): the Hermiticity gate, the queue update and
+the config parser.
 
 * The Hermiticity gate accepts a matrix whose max|W - W^H| sits just below
   HERMITIAN_ATOL and rejects one just above it, in both places a matrix is
@@ -6,16 +7,26 @@
 * For any nonnegative queues and any deficits, the queue update keeps the
   queues nonnegative and the quadratic drift inequality holds to within
   DRIFT_SLACK, for raw deficits and for the deficits the policies produce.
+* The parser turns any mapping, with any keys and values of any type in
+  any section, into an Experiment or a ConfigError, never another
+  exception; it names an unknown key by its full path whatever the other
+  values of its section; and every valid experiment survives a YAML round
+  trip of its echoed config.
 """
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wptsim.harness import DRIFT_SLACK, advance_queues
+from wptsim.channel import ScenarioConfig
+from wptsim.config import ConfigError, Experiment, experiment_from_mapping, experiment_to_mapping, preset_names
+from wptsim.harness import DRIFT_SLACK, SweepSpec, advance_queues
 from wptsim.linalg import HERMITIAN_ATOL, eigh_stack, max_eigpair
-from wptsim.policies import POLICIES, QUEUE_DRIVEN_KINDS, PolicyParams, core_step
+from wptsim.policies import POLICIES, POLICY_KINDS, QUEUE_DRIVEN_KINDS, PolicyParams, core_step
 from oracles import random_hermitian
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -94,3 +105,130 @@ def test_policy_deficits_keep_the_drift_bound(kind, seed):
         q, q_sq, slack = advance_queues(q, q_sq, d)
         assert np.all(q >= 0.0)
         assert slack <= DRIFT_SLACK
+
+
+# ---------------------------------------------------------------------------
+# the config parser
+
+SECTION_KEYS = {
+    "scenario": [f.name for f in fields(ScenarioConfig)],
+    "policy": ["kind"] + [f.name for f in fields(PolicyParams)],
+    "sweep": [f.name for f in fields(SweepSpec)],
+}
+SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+ANY_VALUE = st.recursive(
+    SCALARS, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=2),
+    max_leaves=6,
+)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _plausible(key):
+    """Values of the right shape for key, valid or not, mixed with anything."""
+    pairs = st.lists(st.lists(FINITE, min_size=1, max_size=3), max_size=3)
+    by_key = {
+        "kind": st.sampled_from(POLICY_KINDS) | st.lists(st.sampled_from(POLICY_KINDS), max_size=3),
+        "positions": pairs,
+        "ap_position": st.lists(FINITE, max_size=3),
+        "p_targets": st.lists(FINITE, max_size=3),
+        "values": st.lists(st.integers(-2, 12) | FINITE, max_size=3),
+        "parameter": st.sampled_from(["n_tx", "v", "d_r", "p_target"]),
+        "los_mode": st.sampled_from(["ones", "steering"]),
+    }
+    return by_key.get(key, st.integers(-2, 12) | FINITE) | SCALARS | ANY_VALUE
+
+
+@st.composite
+def valid_mapping(draw):
+    n_rx = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 3))
+    coord = st.floats(0.1, 2.0)
+    scenario = {
+        "n_tx": draw(st.integers(n_rx + 1, n_rx + 6)),
+        "n_rx": n_rx,
+        "positions": draw(st.lists(st.lists(coord, min_size=2, max_size=2), min_size=k, max_size=k)),
+        "ap_position": [0.0, 0.0],
+        "rician_kappa": draw(st.floats(0.0, 1e3)),
+        "pathloss_exponent": draw(st.floats(0.5, 4.0)),
+        "reference_gain": draw(st.floats(0.0, 1.0)),
+        "efficiency": draw(st.floats(0.0, 1.0)),
+        "slots": draw(st.integers(1, 10**6)),
+        "seed": draw(st.integers(0, 2**63)),
+        "los_mode": draw(st.sampled_from(["ones", "steering"])),
+    }
+    p_peak = draw(st.floats(1e-3, 100.0))
+    policy = {
+        "kind": draw(st.sampled_from(POLICY_KINDS) | st.lists(st.sampled_from(POLICY_KINDS), min_size=1, max_size=3)),
+        "p_peak": p_peak,
+        "v": draw(st.none() | st.floats(1e-6, 1e6)),
+        "p_avg": draw(st.none() | st.floats(1e-3, 1.0).map(lambda f: f * p_peak)),
+        "p_targets": draw(st.none() | st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k)),
+        "p_min": draw(st.none() | st.floats(0.0, 1.0)),
+    }
+    data = {"scenario": scenario, "policy": {key: v for key, v in policy.items() if v is not None}}
+    if draw(st.booleans()):
+        data["sweep"] = {
+            "parameter": draw(st.sampled_from(["n_tx", "v", "d_r", "p_target"])),
+            "values": draw(st.lists(st.integers(2, 12) | st.floats(0.5, 3.0), min_size=1, max_size=4)),
+            "repetitions": draw(st.integers(1, 5)),
+        }
+    return data
+
+
+@st.composite
+def any_mapping(draw):
+    """A valid mapping with one to four entries set to a value of any type,
+    dropped or added: a section that is no mapping, an unknown key, a preset."""
+    data = draw(valid_mapping())
+    for _ in range(draw(st.integers(1, 4))):
+        section = draw(st.sampled_from(["top level", *SECTION_KEYS]))
+        if section == "top level":
+            target, names, value = data, ["preset", *SECTION_KEYS], st.sampled_from(preset_names()) | ANY_VALUE
+        else:
+            if not isinstance(data.get(section), dict):
+                data[section] = {}
+            target, names = data[section], SECTION_KEYS[section]
+        key = draw(st.sampled_from(names) | st.text(max_size=6))
+        if draw(st.integers(0, 3)):
+            target[key] = draw(value if section == "top level" else _plausible(key))
+        else:
+            target.pop(key, None)
+    return data
+
+
+@settings(max_examples=400, deadline=None)
+@given(any_mapping())
+def test_parser_returns_an_experiment_or_a_config_error(data):
+    try:
+        exp = experiment_from_mapping(data)
+    except ConfigError:
+        return
+    assert isinstance(exp, Experiment)
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_mapping(), st.sampled_from(["top level", *SECTION_KEYS]), st.data())
+def test_unknown_key_is_named_by_its_full_path(mapping, section, data):
+    experiment_from_mapping(mapping)
+    allowed = ["preset", *SECTION_KEYS] if section == "top level" else SECTION_KEYS[section]
+    key = data.draw(st.text(max_size=6).filter(lambda t: t not in allowed))
+    if section == "top level":
+        mapping[key] = data.draw(ANY_VALUE)
+    else:
+        # the section's other values may be anything: keys are checked first
+        target = mapping.setdefault(section, {})
+        for name in list(target):
+            if data.draw(st.booleans()):
+                target[name] = data.draw(ANY_VALUE)
+        target[key] = data.draw(ANY_VALUE)
+    with pytest.raises(ConfigError) as err:
+        experiment_from_mapping(mapping)
+    assert f"{section}.{key}: unknown key" in str(err.value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_mapping())
+def test_valid_experiment_survives_a_yaml_round_trip(data):
+    exp = experiment_from_mapping(data)
+    again = experiment_from_mapping(yaml.safe_load(yaml.safe_dump(experiment_to_mapping(exp))))
+    assert again == exp
