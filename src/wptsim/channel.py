@@ -59,6 +59,14 @@ def _as_int(name: str, value) -> int:
     return int(value)
 
 
+def _as_real(name: str, value):
+    """value unchanged if it is a real number; a bool, a string, a NaN or any
+    other non-number is a ValueError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or math.isnan(value):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Static description of one scenario: geometry, fading, antennas, horizon."""
@@ -78,6 +86,8 @@ class ScenarioConfig:
     def __post_init__(self):
         for name in ("n_tx", "n_rx", "slots", "seed"):
             object.__setattr__(self, name, _as_int(name, getattr(self, name)))
+        for name in ("rician_kappa", "pathloss_exponent", "reference_gain", "efficiency"):
+            _as_real(name, getattr(self, name))
         try:
             positions = tuple(tuple(float(c) for c in p) for p in self.positions)
         except (TypeError, ValueError, OverflowError):
@@ -125,16 +135,6 @@ class ScenarioConfig:
     def gains(self) -> np.ndarray:
         """Per-receiver average power gains g_i."""
         return self.reference_gain * self.distances() ** (-self.pathloss_exponent)
-
-    def assumptions(self) -> dict:
-        """Channel parameters that are declared assumptions, echoed in summaries."""
-        return {
-            "rician_kappa": self.rician_kappa,
-            "pathloss_exponent": self.pathloss_exponent,
-            "reference_gain": self.reference_gain,
-            "los_mode": self.los_mode,
-            "efficiency": self.efficiency,
-        }
 
 
 def _stream(seed: int, key: int) -> np.random.Generator:
@@ -205,13 +205,11 @@ def empirical_gain_spectrum(cfg, combine_rule: str, n_samples: int, rng):
     rel = cfg.distances() ** (-cfg.pathloss_exponent)
     amp = np.sqrt(rel[:1] if combine_rule == "single" else rel)[:, None, None]
     samples = np.empty(n_samples, dtype=np.float64)
-    done = 0
-    while done < n_samples:
+    for done in range(0, n_samples, _CHUNK):
         take = min(_CHUNK, n_samples - done)
         h = _unit_fading_block(cfg, rng, take)[:, : amp.shape[0]]  # unit gain, (take, K, M, N)
         h *= amp  # in place: a scaled copy would raise the peak memory by one block
         # sum_i W_i is the Gram of the receivers' channels stacked row-wise
         w = grams(h.reshape(take, -1, cfg.n_tx))
         samples[done : done + take] = cfg.reference_gain * np.linalg.eigvalsh(w)[:, -1]
-        done += take
     return EmpiricalSpectrum(samples)

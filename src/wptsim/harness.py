@@ -40,10 +40,9 @@ from wptsim.linalg import grams
 from wptsim.policies import (
     PolicyParams,
     core_step,
-    default_v,
     gap_bound_const,
     policy_spec,
-    validate_params_for,
+    resolve_params,
     _core_optimal_energy,
     _core_optimal_power,
 )
@@ -76,7 +75,6 @@ class RunSummary:
     queues_stable: Optional[bool]
     drift_slack_max: float
     threshold: Optional[float]
-    threshold_target: Optional[float]
     v: Optional[float]
     gap_bound: Optional[float]
     config: dict
@@ -142,18 +140,6 @@ def power_scale(params: PolicyParams) -> float:
     return max(candidates)
 
 
-def resolve_params(cfg: ScenarioConfig, params: PolicyParams, policy_kind: str) -> PolicyParams:
-    """Fill in the default control parameter v where the policy needs one.
-
-    default_v reads the policy's other fields, so a missing one is named
-    here before v is derived from it.
-    """
-    if params.v is None and "v" in policy_spec(policy_kind).needs:
-        validate_params_for(policy_kind, params, cfg.n_receivers, skip=("v",))
-        params = replace(params, v=default_v(policy_kind, params, cfg))
-    return params
-
-
 def advance_queues(q: np.ndarray, q_sq, d: np.ndarray) -> tuple:
     """One queue update q <- max(q + d, 0) and its drift slack.
 
@@ -171,15 +157,12 @@ def advance_queues(q: np.ndarray, q_sq, d: np.ndarray) -> tuple:
 
 def estimate_threshold(cfg: ScenarioConfig, params: PolicyParams, policy_kind: str, warmup_samples: int):
     """Warm-up spectrum estimation for the optimal policies."""
-    rng = warmup_rng(cfg)
-    if policy_kind == "optimal-energy":
-        if cfg.efficiency <= 0.0:
-            raise InfeasibleTargetError(
-                "zero conversion efficiency cannot deliver a positive target", deficit=math.inf
-            )
-        spectrum = empirical_gain_spectrum(cfg, "single", warmup_samples, rng)
+    rule = policy_spec(policy_kind).combine_rule
+    if rule == "single" and cfg.efficiency <= 0.0:
+        raise InfeasibleTargetError("zero conversion efficiency cannot deliver a positive target")
+    spectrum = empirical_gain_spectrum(cfg, rule, warmup_samples, warmup_rng(cfg))
+    if rule == "single":
         return solve_energy_threshold(spectrum, params.p_targets[0] / cfg.efficiency, params.p_peak)
-    spectrum = empirical_gain_spectrum(cfg, "sum", warmup_samples, rng)
     return solve_power_threshold(spectrum, params.p_avg, params.p_peak)
 
 
@@ -190,11 +173,10 @@ def run(
     warmup_samples: int = WARMUP_SAMPLES,
 ) -> RunSummary:
     """Simulate one policy for cfg.slots slots; deterministic in (cfg, params)."""
-    queues = policy_spec(policy_kind).queues
-    queue_driven = queues is not None
+    spec = policy_spec(policy_kind)
+    queue_driven = spec.queues is not None
     k = cfg.n_receivers
     params = resolve_params(cfg, params, policy_kind)
-    validate_params_for(policy_kind, params, k)
 
     threshold = None if queue_driven else estimate_threshold(cfg, params, policy_kind, warmup_samples)
     eff = cfg.efficiency
@@ -205,7 +187,8 @@ def run(
     sum_recv = np.zeros(k)
     transmit_slots = 0
     drift_slack_max = 0.0
-    q = np.zeros(sum(queues(k))) if queue_driven else None
+    nz, ng = spec.queues(k) if queue_driven else (0, 0)
+    q = np.zeros(nz + ng)
     q_sq = 0.0
 
     rng = evaluation_rng(cfg)
@@ -214,7 +197,7 @@ def run(
         take = min(_CHUNK, cfg.slots - done)
         ws_block = grams(sample_slot_block(cfg, rng, take))
         if not queue_driven:
-            step = _core_optimal_energy if policy_kind == "optimal-energy" else _core_optimal_power
+            step = _core_optimal_energy if spec.combine_rule == "single" else _core_optimal_power
             for recv in step(params, threshold, ws_block, eff):
                 sum_transmit += params.p_peak
                 sum_recv += recv
@@ -236,9 +219,8 @@ def run(
 
     slots = cfg.slots
     avg_recv = sum_recv / slots
-    nz = queues(k)[0] if queue_driven else 0
-    z_rates = tuple(float(x) / slots for x in q[:nz]) if queue_driven else ()
-    g_rates = tuple(float(x) / slots for x in q[nz:]) if queue_driven else ()
+    z_rates = tuple(float(x) / slots for x in q[:nz])
+    g_rates = tuple(float(x) / slots for x in q[nz:])
     stable = None
     if queue_driven:
         # only the constraint queues z bound a time-average requirement;
@@ -247,13 +229,6 @@ def run(
         budget = QUEUE_RATE_TOL * power_scale(params)
         stable = bool(all(r <= budget for r in z_rates))
 
-    config_echo = {
-        "scenario": asdict(cfg),
-        "policy_kind": policy_kind,
-        "params": asdict(params),
-        "warmup_samples": warmup_samples if threshold is not None else None,
-        "channel_assumptions": cfg.assumptions(),
-    }
     return RunSummary(
         policy=policy_kind,
         seed=cfg.seed,
@@ -268,10 +243,13 @@ def run(
         queues_stable=stable,
         drift_slack_max=drift_slack_max,
         threshold=None if threshold is None else threshold.lambda_th,
-        threshold_target=None if threshold is None else threshold.achieved_target,
         v=params.v,
         gap_bound=gap_bound_const(policy_kind, k, params.p_peak),
-        config=config_echo,
+        config={
+            "scenario": asdict(cfg),
+            "params": asdict(params),
+            "warmup_samples": warmup_samples if threshold is not None else None,
+        },
     )
 
 

@@ -31,19 +31,19 @@ The threshold kinds carry no state, so their step decides a whole chunk of
 slots from one stacked eigensolve. The queue-driven steps depend on the
 queues, so they advance one slot at a time on a flat queue vector.
 
-Each kind's step, needed parameters, queue sizes and optimal reference live
-in its PolicySpec entry of POLICIES; the calibrated default V formulas live
-in default_v.
+Each kind's step, needed parameters, queue sizes, combine rule and optimal
+reference live in its PolicySpec entry of POLICIES; the calibrated default V
+formulas live in default_v.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from wptsim.channel import ScenarioConfig
+from wptsim.channel import ScenarioConfig, _as_real
 from wptsim.linalg import eigh_stack, hermitian_part, max_eigpair, top_eigpair, weighted_combine
 
 
@@ -58,6 +58,9 @@ class PolicyParams:
     p_min: Optional[float] = None
 
     def __post_init__(self):
+        for name in ("p_peak", "v", "p_avg", "p_min"):
+            if name == "p_peak" or getattr(self, name) is not None:
+                _as_real(name, getattr(self, name))
         if self.p_peak <= 0.0:
             raise ValueError(f"p_peak must be > 0, got {self.p_peak}")
         if self.v is not None and self.v <= 0.0:
@@ -66,7 +69,7 @@ class PolicyParams:
             raise ValueError(f"need 0 < p_avg <= p_peak, got p_avg={self.p_avg}")
         if self.p_targets is not None:
             try:
-                self.p_targets = tuple(float(p) for p in self.p_targets)
+                self.p_targets = tuple(float(_as_real("p_targets", p)) for p in self.p_targets)
             except (TypeError, ValueError, OverflowError):
                 raise ValueError(f"p_targets must be a list of watts, got {self.p_targets!r}") from None
             if any(p < 0.0 for p in self.p_targets):
@@ -174,24 +177,25 @@ class PolicySpec:
     PolicyParams fields the kind reads. queues maps the receiver count K to
     the sizes of z and g, None for a stateless kind. compare is the optimal
     kind a queue-driven kind is measured against and the summary column the
-    gap is read on.
+    gap is read on. combine_rule is a threshold kind's empirical_gain_spectrum
+    rule: "single" (W_1, one receiver only) or "sum" (sum_i W_i).
     """
 
     step: Callable
     needs: tuple
     queues: Optional[Callable[[int], tuple]] = None
     compare: Optional[tuple] = None
-    single_receiver: bool = False
+    combine_rule: Optional[str] = None
 
 
 _POWER_REFERENCE = ("optimal-power", "total_received")
 
 POLICIES = {
-    "optimal-energy": PolicySpec(_core_optimal_energy, ("p_targets",), single_receiver=True),
+    "optimal-energy": PolicySpec(_core_optimal_energy, ("p_targets",), combine_rule="single"),
     "mdpp-energy": PolicySpec(
         _core_mdpp_energy, ("v", "p_targets"), lambda k: (k, 0), ("optimal-energy", "avg_transmit_power")
     ),
-    "optimal-power": PolicySpec(_core_optimal_power, ("p_avg",)),
+    "optimal-power": PolicySpec(_core_optimal_power, ("p_avg",), combine_rule="sum"),
     "mdpp-power": PolicySpec(_core_mdpp_power, ("v", "p_avg"), lambda k: (1, 0), _POWER_REFERENCE),
     "mmf": PolicySpec(_core_mmf, ("v", "p_avg"), lambda k: (1, k), _POWER_REFERENCE),
     "qpf": PolicySpec(_core_qpf, ("v", "p_avg", "p_min"), lambda k: (k + 1, k), _POWER_REFERENCE),
@@ -200,7 +204,6 @@ POLICY_KINDS = tuple(POLICIES)
 QUEUE_DRIVEN_KINDS = tuple(kind for kind, spec in POLICIES.items() if spec.queues is not None)
 
 _NEEDS = {
-    "v": "the control parameter v",
     "p_avg": "the average power budget p_avg",
     "p_targets": "one delivery target per receiver",
     "p_min": "the QoS floor p_min",
@@ -212,20 +215,6 @@ def policy_spec(kind: str) -> PolicySpec:
     if kind not in POLICIES:
         raise ValueError(f"unknown policy kind {kind!r}; expected one of {POLICY_KINDS}")
     return POLICIES[kind]
-
-
-def validate_params_for(kind: str, params: PolicyParams, n_receivers: int, skip: tuple = ()) -> None:
-    """Check that the fields a policy relies on, except those in skip, are
-    present and consistent."""
-    spec = policy_spec(kind)
-    if spec.single_receiver and n_receivers != 1:
-        raise ValueError(f"{kind} is single-receiver only")
-    for name in spec.needs:
-        if name in skip:
-            continue
-        value = getattr(params, name)
-        if value is None or (name == "p_targets" and len(value) != n_receivers):
-            raise ValueError(f"{kind} needs {_NEEDS[name]}")
 
 
 def core_step(kind: str, q, params, ws, efficiency):
@@ -287,3 +276,19 @@ def default_v(kind: str, params: PolicyParams, cfg: ScenarioConfig) -> float:
             "target is zero; pass v explicitly"
         )
     return v
+
+
+def resolve_params(cfg: ScenarioConfig, params: PolicyParams, kind: str) -> PolicyParams:
+    """params checked against what kind needs on cfg, with a missing v set
+    to default_v. The other needed fields are checked first, because
+    default_v reads them."""
+    spec = policy_spec(kind)
+    if spec.combine_rule == "single" and cfg.n_receivers != 1:
+        raise ValueError(f"{kind} is single-receiver only")
+    for name in spec.needs:
+        value = getattr(params, name)
+        if name != "v" and (value is None or (name == "p_targets" and len(value) != cfg.n_receivers)):
+            raise ValueError(f"{kind} needs {_NEEDS[name]}")
+    if "v" in spec.needs and params.v is None:
+        params = replace(params, v=default_v(kind, params, cfg))
+    return params

@@ -24,10 +24,6 @@ import numpy as np
 class InfeasibleTargetError(ValueError):
     """Raised when even always-transmit cannot meet the requested target."""
 
-    def __init__(self, message: str, deficit: float):
-        super().__init__(message)
-        self.deficit = deficit
-
 
 @dataclass(frozen=True)
 class EmpiricalSpectrum:
@@ -84,12 +80,10 @@ def solve_energy_threshold(
     # tail_sum[j] = sum of x[j:], decreasing in j
     tail_sum = np.cumsum(x[::-1])[::-1]
     if tail_sum[0] / n < ratio:
-        deficit = ratio - tail_sum[0] / n
         raise InfeasibleTargetError(
             f"target {p_target:.6g} W is infeasible at p_peak {p_peak:.6g} W: "
             f"always-transmit attains tail mean {tail_sum[0] / n:.6g} < required "
-            f"{ratio:.6g} (deficit {deficit:.6g})",
-            deficit=deficit,
+            f"{ratio:.6g} (deficit {ratio - tail_sum[0] / n:.6g})"
         )
     feasible = np.nonzero(tail_sum >= n * ratio)[0]
     j = int(feasible[-1])

@@ -14,7 +14,7 @@ Two kinds, both slow on purpose and correctness references only:
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from wptsim.harness import (
     power_scale,
 )
 from wptsim.linalg import grams, max_eigpair, weighted_combine
-from wptsim.policies import default_v, gap_bound_const, policy_spec, validate_params_for
+from wptsim.policies import gap_bound_const, policy_spec, resolve_params
 
 
 def naive_gram(h):
@@ -246,10 +246,7 @@ def run_per_slot(cfg, params, kind, warmup_samples=WARMUP_SAMPLES):
     """harness.run's to_row(), one sampled slot and one step at a time."""
     k = cfg.n_receivers
     queue_driven = kind in QUEUE_STEPS
-    if queue_driven and params.v is None:
-        validate_params_for(kind, params, k, skip=("v",))
-        params = replace(params, v=default_v(kind, params, cfg))
-    validate_params_for(kind, params, k)
+    params = resolve_params(cfg, params, kind)
     threshold = None if queue_driven else estimate_threshold(cfg, params, kind, warmup_samples)
     state = init_queue_state(kind, k) if queue_driven else None
 
@@ -294,7 +291,6 @@ def run_per_slot(cfg, params, kind, warmup_samples=WARMUP_SAMPLES):
         queues_stable=stable,
         drift_slack_max=drift_slack_max,
         threshold=None if threshold is None else threshold.lambda_th,
-        threshold_target=None if threshold is None else threshold.achieved_target,
         v=params.v,
         gap_bound=gap_bound_const(kind, k, params.p_peak),
         config={},

@@ -56,6 +56,15 @@ class TestScenarioValidation:
             make_cfg(positions=5)
         with pytest.raises(ValueError, match="ap_position"):
             make_cfg(ap_position="ab")
+        # float fields take no bool, string or NaN, which would be compared
+        # as numbers or fail later without naming the field
+        for name in ("rician_kappa", "pathloss_exponent", "reference_gain", "efficiency"):
+            for value in (float("nan"), True, "3"):
+                with pytest.raises(ValueError, match=f"{name} must be a number"):
+                    make_cfg(**{name: value})
+        # infinite kappa is the pure line-of-sight limit; valid values keep their type
+        assert make_cfg(rician_kappa=math.inf).rician_kappa == math.inf
+        assert type(make_cfg(rician_kappa=3).rician_kappa) is int
 
     def test_zero_reference_gain_allowed(self):
         assert make_cfg(reference_gain=0.0).gains()[0] == 0.0
@@ -74,12 +83,6 @@ class TestScenarioValidation:
         cfg = make_cfg()
         assert cfg.gains()[0] == pytest.approx(1e-3, rel=1e-12)
         assert cfg.reference_gain == pytest.approx(DEFAULT_REFERENCE_GAIN, rel=0)
-
-    def test_assumptions_surfaced(self):
-        a = make_cfg().assumptions()
-        assert a["rician_kappa"] == 3.0
-        assert a["pathloss_exponent"] == 2.5
-        assert a["los_mode"] == "ones"
 
 
 class TestLineOfSight:

@@ -70,6 +70,14 @@ MALFORMED = [
     ("scenario", "slots", 40.5),
     ("scenario", "seed", 1.5),
     ("scenario", "seed", True),
+    ("scenario", "rician_kappa", float("nan")),
+    ("scenario", "rician_kappa", "3"),
+    ("scenario", "reference_gain", True),
+    ("scenario", "pathloss_exponent", float("nan")),
+    ("policy", "p_peak", "5"),
+    ("policy", "v", float("nan")),
+    ("policy", "p_min", float("nan")),
+    ("policy", "p_targets", [float("nan")]),
 ]
 
 

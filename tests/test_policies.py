@@ -18,12 +18,13 @@ from wptsim.policies import (
     core_step,
     default_v,
     gap_bound_const,
-    validate_params_for,
+    resolve_params,
 )
 from wptsim.threshold import ThresholdValue
 from oracles import jacobi_spectrum, naive_combine, naive_gram
 
 E1_3 = np.array([1.0, 0.0, 0.0], dtype=np.complex128)
+TWO_RX = ScenarioConfig(positions=((0.3, 0.3), (0.0, 0.5)))
 
 
 def diag_gram(*entries):
@@ -67,7 +68,7 @@ class TestOptimalEnergy:
 
     def test_rejects_multiple_receivers(self):
         with pytest.raises(ValueError, match="single-receiver"):
-            validate_params_for("optimal-energy", self.PARAMS, 2)
+            resolve_params(TWO_RX, self.PARAMS, "optimal-energy")
 
     def test_chunk_keeps_transmitting_slots_in_order(self):
         quiet = grams_of([[1.0, 0.0, 0.0]])  # lambda_max 1
@@ -328,25 +329,37 @@ class TestParameterPlumbing:
             PolicyParams(p_peak=1.0, p_targets=(0.01, -0.01))
         with pytest.raises(ValueError):
             PolicyParams(p_peak=1.0, p_min=-0.5)
+        # a bool, a string or a NaN is named, never compared or converted
+        for name in ("p_peak", "v", "p_avg", "p_min"):
+            for value in (float("nan"), True, "3"):
+                with pytest.raises(ValueError, match=f"{name} must be a number"):
+                    PolicyParams(**{"p_peak": 5.0, name: value})
+        for entry in (float("nan"), True, "0.01"):
+            with pytest.raises(ValueError, match="p_targets"):
+                PolicyParams(p_peak=1.0, p_targets=(0.01, entry))
+        # valid values keep their value and type
+        params = PolicyParams(p_peak=5, v=2, p_avg=np.float64(2.5), p_targets=[1, 0.5], p_min=0)
+        assert (params.p_peak, params.v, params.p_min) == (5, 2, 0) and type(params.p_peak) is int
+        assert type(params.p_avg) is np.float64 and params.p_targets == (1.0, 0.5)
 
-    def test_validate_params_for(self):
+    def test_resolve_params_checks_the_needed_fields(self):
         full = PolicyParams(p_peak=4.0, v=1.0, p_avg=2.0, p_targets=(0.01, 0.02), p_min=0.1)
         for kind in POLICY_KINDS:
             if kind == "optimal-energy":
                 continue
-            validate_params_for(kind, full, 2)
+            assert resolve_params(TWO_RX, full, kind) == full
         with pytest.raises(ValueError, match="unknown policy"):
-            validate_params_for("mdpp", full, 2)
-        with pytest.raises(ValueError, match="control parameter"):
-            validate_params_for("mmf", PolicyParams(p_peak=4.0, p_avg=2.0), 2)
+            resolve_params(TWO_RX, full, "mdpp")
+        # a missing v is derived, not rejected
+        assert resolve_params(TWO_RX, PolicyParams(p_peak=4.0, p_avg=2.0), "mmf").v == 20.0
         with pytest.raises(ValueError, match="target"):
-            validate_params_for("mdpp-energy", PolicyParams(p_peak=4.0, v=1.0, p_targets=(0.01,)), 2)
+            resolve_params(TWO_RX, PolicyParams(p_peak=4.0, v=1.0, p_targets=(0.01,)), "mdpp-energy")
         with pytest.raises(ValueError, match="p_avg"):
-            validate_params_for("optimal-power", PolicyParams(p_peak=4.0), 2)
+            resolve_params(TWO_RX, PolicyParams(p_peak=4.0), "optimal-power")
         with pytest.raises(ValueError, match="p_min"):
-            validate_params_for("qpf", PolicyParams(p_peak=4.0, v=1.0, p_avg=2.0), 2)
+            resolve_params(TWO_RX, PolicyParams(p_peak=4.0, v=1.0, p_avg=2.0), "qpf")
         with pytest.raises(ValueError, match="single-receiver"):
-            validate_params_for("optimal-energy", PolicyParams(p_peak=4.0, p_targets=(0.01, 0.02)), 2)
+            resolve_params(TWO_RX, PolicyParams(p_peak=4.0, p_targets=(0.01, 0.02)), "optimal-energy")
 
     def test_init_queue_state_sizes(self):
         # (constraint queues z, auxiliary queues g) for three receivers

@@ -1,5 +1,5 @@
-"""Property tests (hypothesis): the Hermiticity gate, the queue update and
-the config parser.
+"""Property tests (hypothesis): the Hermiticity gate, the queue update, the
+chunked slot loop and the config parser.
 
 * The Hermiticity gate accepts a matrix whose max|W - W^H| sits just below
   HERMITIAN_ATOL and rejects one just above it, in both places a matrix is
@@ -7,6 +7,8 @@ the config parser.
 * For any nonnegative queues and any deficits, the queue update keeps the
   queues nonnegative and the quadratic drift inequality holds to within
   DRIFT_SLACK, for raw deficits and for the deficits the policies produce.
+* On random small scenarios, every policy kind's run summary is the same
+  bit for bit whatever the slot chunk size.
 * The parser turns any mapping, with any keys and values of any type in
   any section, into an Experiment or a ConfigError, never another
   exception; it names an unknown key by its full path whatever the other
@@ -22,9 +24,10 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wptsim.channel import ScenarioConfig
+from wptsim import harness
+from wptsim.channel import KAPPA_LOS_LIMIT, ScenarioConfig
 from wptsim.config import ConfigError, Experiment, experiment_from_mapping, experiment_to_mapping, preset_names
-from wptsim.harness import DRIFT_SLACK, SweepSpec, advance_queues
+from wptsim.harness import DRIFT_SLACK, SweepSpec, advance_queues, run
 from wptsim.linalg import HERMITIAN_ATOL, eigh_stack, max_eigpair
 from wptsim.policies import POLICIES, POLICY_KINDS, QUEUE_DRIVEN_KINDS, PolicyParams, core_step
 from oracles import random_hermitian
@@ -105,6 +108,46 @@ def test_policy_deficits_keep_the_drift_bound(kind, seed):
         q, q_sq, slack = advance_queues(q, q_sq, d)
         assert np.all(q >= 0.0)
         assert slack <= DRIFT_SLACK
+
+
+# ---------------------------------------------------------------------------
+# the chunked slot loop
+
+
+@st.composite
+def chunk_cases(draw):
+    """A random small scenario and a policy kind that supports it."""
+    k = draw(st.integers(1, 2))
+    n_rx = draw(st.integers(1, 4))
+    cfg = ScenarioConfig(
+        n_tx=draw(st.integers(n_rx + 1, 8)),
+        n_rx=n_rx,
+        positions=((0.3, 0.3), (0.0, 0.5))[:k],
+        rician_kappa=draw(st.floats(0.0, 20.0) | st.just(KAPPA_LOS_LIMIT)),
+        los_mode=draw(st.sampled_from(["ones", "steering"])),
+        efficiency=draw(st.floats(0.1, 1.0)),
+        slots=draw(st.integers(1, 1100)),
+        seed=draw(SEEDS),
+    )
+    kind = draw(st.sampled_from([kd for kd in POLICY_KINDS if k == 1 or POLICIES[kd].combine_rule != "single"]))
+    # lambda_max(W_i) >= trace(W_i) / N, whose mean is g_i * M, so half of
+    # that mean at peak power is a feasible delivery target
+    targets = tuple(0.5 * 5.0 * cfg.efficiency * n_rx * g for g in cfg.gains())
+    return cfg, PolicyParams(p_peak=5.0, p_avg=2.5, p_targets=targets, p_min=0.1 * min(targets)), kind
+
+
+@settings(max_examples=20, deadline=None)
+@given(chunk_cases())
+def test_chunk_size_moves_no_bit(case):
+    cfg, params, kind = case
+    rows = []
+    for chunk in (512, 1, 7, 513):
+        # a function-scoped monkeypatch fixture would be shared by all examples
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "_CHUNK", chunk)
+            row = run(cfg, params, kind, warmup_samples=256).to_row()
+        rows.append({key: v.hex() if isinstance(v, float) else v for key, v in row.items()})
+    assert rows[1:] == rows[:1] * 3
 
 
 # ---------------------------------------------------------------------------

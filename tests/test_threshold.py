@@ -66,9 +66,8 @@ class TestEnergySolver:
         assert got.achieved_target == pytest.approx(1.75, rel=1e-12)
 
     def test_infeasible_names_deficit(self):
-        with pytest.raises(InfeasibleTargetError, match="deficit") as exc:
+        with pytest.raises(InfeasibleTargetError, match=r"deficit 0\.5\)"):
             solve_energy_threshold(spectrum([1, 2, 3, 4]), 3.0, 1.0)
-        assert exc.value.deficit == pytest.approx(0.5, rel=1e-12)
 
     def test_scaling_by_p_peak(self):
         # target 3.5 W at peak 2 W is the ratio 1.75 case again
