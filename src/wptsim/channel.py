@@ -67,6 +67,18 @@ def _as_real(name: str, value):
     return value
 
 
+def _as_coordinate(name: str, value) -> float:
+    """value as a float if it is a finite real number; a bool, a string, a
+    NaN, an infinity or any other non-number is a ValueError naming the field."""
+    try:
+        finite = math.isfinite(_as_real(name, value))
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Static description of one scenario: geometry, fading, antennas, horizon."""
@@ -89,12 +101,14 @@ class ScenarioConfig:
         for name in ("rician_kappa", "pathloss_exponent", "reference_gain", "efficiency"):
             _as_real(name, getattr(self, name))
         try:
-            positions = tuple(tuple(float(c) for c in p) for p in self.positions)
-        except (TypeError, ValueError, OverflowError):
+            positions = tuple(
+                tuple(_as_coordinate(f"positions[{i}]", c) for c in p) for i, p in enumerate(self.positions)
+            )
+        except TypeError:
             raise ValueError(f"positions must be a list of [x, y] pairs, got {self.positions!r}") from None
         try:
-            ap_position = tuple(float(c) for c in self.ap_position)
-        except (TypeError, ValueError, OverflowError):
+            ap_position = tuple(_as_coordinate("ap_position", c) for c in self.ap_position)
+        except TypeError:
             raise ValueError(f"ap_position must be an [x, y] pair, got {self.ap_position!r}") from None
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "ap_position", ap_position)

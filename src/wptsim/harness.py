@@ -5,7 +5,8 @@ time-averaged metrics; for the optimal threshold policies it first estimates
 the transmit threshold from a warm-up eigenvalue spectrum drawn on an RNG
 stream disjoint from the evaluation stream. Slots are sampled and their
 Grams formed in blocks of _CHUNK; a threshold policy decides a whole block
-at once, a queue-driven one steps through it slot by slot. The block size
+at once, a queue-driven one steps through it slot by slot, either in one
+call of its chunk kernel or one core_step call per slot. The block size
 does not move a single bit of the summary. sweep() repeats run() over a
 one-parameter grid with independently seeded repetitions.
 
@@ -42,6 +43,7 @@ from wptsim.policies import (
     core_step,
     gap_bound_const,
     policy_spec,
+    queue_chunk,
     resolve_params,
     _core_optimal_energy,
     _core_optimal_power,
@@ -155,6 +157,20 @@ def advance_queues(q: np.ndarray, q_sq, d: np.ndarray) -> tuple:
     return q_new, q_new_sq, lhs - rhs
 
 
+def chunk_drift_slack(qs: np.ndarray, ds: np.ndarray) -> float:
+    """The largest advance_queues slack over a chunk, every slot bit for bit.
+
+    Row t of qs holds the queues before slot t (the last row the queues
+    after the chunk), row t of ds the deficits of slot t. Row sums of
+    squares and (1, n) @ (n, 1) products round as advance_queues' 1-D sums
+    and np.dot do. A NaN slack is passed over, as max() passes over it.
+    """
+    sq = (qs**2).sum(axis=1)
+    lhs = 0.5 * (sq[1:] - sq[:-1])
+    rhs = np.matmul(qs[:-1, None, :], ds[:, :, None])[:, 0, 0] + 0.5 * (ds**2).sum(axis=1)
+    return float(np.fmax.reduce(lhs - rhs))
+
+
 def estimate_threshold(cfg: ScenarioConfig, params: PolicyParams, policy_kind: str, warmup_samples: int):
     """Warm-up spectrum estimation for the optimal policies."""
     rule = policy_spec(policy_kind).combine_rule
@@ -198,11 +214,13 @@ def run(
         ws_block = grams(sample_slot_block(cfg, rng, take))
         if not queue_driven:
             step = _core_optimal_energy if spec.combine_rule == "single" else _core_optimal_power
-            for recv in step(params, threshold, ws_block, eff):
-                sum_transmit += params.p_peak
-                sum_recv += recv
-                transmit_slots += 1
+            on_recv = step(params, threshold, ws_block, eff)
+        elif spec.chunk is not None:
+            qs, ds, on_recv = queue_chunk(policy_kind, q, params, ws_block, eff)
+            q = qs[-1]
+            drift_slack_max = max(drift_slack_max, chunk_drift_slack(qs, ds))
         else:
+            on_recv = ()
             for j in range(take):
                 power, recv, d = core_step(policy_kind, q, params, ws_block[j], eff)
                 q, q_sq, slack = advance_queues(q, q_sq, d)
@@ -211,11 +229,17 @@ def run(
                     sum_transmit += power
                     sum_recv += recv
                     transmit_slots += 1
-            # max(q + d, 0) is never negative, and a NaN would persist to the
-            # end of the block, so checking the block's last queues covers it
-            if not (q >= 0.0).all():
-                raise ArithmeticError(f"queues left the nonnegative orthant: {q}")
+        # the transmitting slots of a chunk step, in slot order
+        for recv in on_recv:
+            sum_transmit += params.p_peak
+            sum_recv += recv
+            transmit_slots += 1
+        # max(q + d, 0) is never negative, and a NaN would persist to the
+        # end of the block, so checking the block's last queues covers it
+        if queue_driven and not (q >= 0.0).all():
+            raise ArithmeticError(f"queues left the nonnegative orthant: {q}")
         done += take
+        del ws_block  # freed before the next block is sampled
 
     slots = cfg.slots
     avg_recv = sum_recv / slots

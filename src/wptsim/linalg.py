@@ -116,14 +116,14 @@ def _norm2(x: np.ndarray) -> float:
     return math.sqrt(re.dot(re) + im.dot(im))
 
 
-def top_eigpair(w: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> EigenPair:
-    """The deterministic top eigenpair of Hermitian w from its eigh output.
+def top_vector(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """The deterministic unit top eigenvector of a Hermitian matrix from its
+    eigh output (vals ascending, eigenvectors in the columns of vecs).
 
     Tie-breaking for a degenerate top eigenspace: among the decomposition's
     candidate eigenvectors, take the one maximizing the magnitude of its first
     nonzero component, earliest column on ties. The global phase is fixed so
-    the first nonzero component is real positive. The pair's residual
-    ||W v - lam v|| must stay within RESIDUAL_RTOL * max(1, |lam|).
+    the first nonzero component is real positive.
     """
     n = vals.shape[0]
     lam = float(vals[-1])
@@ -148,7 +148,16 @@ def top_eigpair(w: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> EigenPair:
         vec *= np.conj(lead) / np.abs(lead)
         vec[first] = vec[first].real
     vec /= _norm2(vec)
+    return vec
 
+
+def top_eigpair(w: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> EigenPair:
+    """The top eigenpair of Hermitian w from its eigh output, with
+    top_vector's conventions. The pair's residual ||W v - lam v|| must stay
+    within RESIDUAL_RTOL * max(1, |lam|).
+    """
+    lam = float(vals[-1])
+    vec = top_vector(vals, vecs)
     residual = _norm2(w @ vec - lam * vec)
     if residual > RESIDUAL_RTOL * max(1.0, abs(lam)):
         raise _residual_error(residual, lam)
@@ -158,7 +167,7 @@ def top_eigpair(w: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> EigenPair:
 def max_eigpair(w: np.ndarray) -> EigenPair:
     """Largest eigenvalue and eigenvector of a Hermitian matrix, deterministically.
 
-    The tie-break and phase conventions are those of top_eigpair.
+    The tie-break and phase conventions are those of top_vector.
     """
     w = np.asarray(w, dtype=np.complex128)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
@@ -168,25 +177,45 @@ def max_eigpair(w: np.ndarray) -> EigenPair:
     return top_eigpair(w, vals, vecs)
 
 
+def _first_bad_pair(w: np.ndarray, lam: np.ndarray, vecs: np.ndarray) -> tuple:
+    """(t, residual) of the first pair (lam[t], vecs[t]) of a stack that is
+    not an eigenpair of w[t] to within RESIDUAL_RTOL * max(1, |lam[t]|), or
+    (len(w), 0.0) when every pair is."""
+    res = np.linalg.norm(np.matmul(w, vecs[:, :, None])[:, :, 0] - lam[:, None] * vecs, axis=1)
+    bad = np.flatnonzero(res > RESIDUAL_RTOL * np.maximum(1.0, np.abs(lam)))
+    return (int(bad[0]), float(res[bad[0]])) if bad.size else (len(w), 0.0)
+
+
 def eigh_stack(w: np.ndarray) -> tuple:
     """(vals, vecs) of every matrix in a Hermitian stack (T, N, N), checked.
 
     One stacked eigh, bit-identical to T single calls. The stack passes the
     same checks as max_eigpair: Hermiticity, convergence, and the residual of
     every matrix's top eigenpair, taken here on the solver's own unit vector
-    (top_eigpair's phase and tie conventions move a residual by round-off
+    (top_vector's phase and tie conventions move a residual by round-off
     only).
     """
     _check_hermitian(w)
     vals, vecs = _eigh(w)
-    lam = vals[:, -1]
-    top = vecs[:, :, -1]
-    res = np.linalg.norm(np.matmul(w, top[:, :, None])[:, :, 0] - lam[:, None] * top, axis=1)
-    bad = res > RESIDUAL_RTOL * np.maximum(1.0, np.abs(lam))
-    if bad.any():
-        j = int(bad.argmax())
-        raise _residual_error(float(res[j]), float(lam[j]))
+    t, residual = _first_bad_pair(w, vals[:, -1], vecs[:, :, -1])
+    if t < len(w):
+        raise _residual_error(residual, float(vals[t, -1]))
     return vals, vecs
+
+
+def check_stack(w: np.ndarray, lam: np.ndarray, vecs: np.ndarray) -> None:
+    """Reject a stack (T, N, N) of solved matrices unless each is Hermitian
+    and each (lam[t], vecs[t]) is an eigenpair of it to within the residual
+    tolerance.
+
+    The matrices are judged in stack order, Hermiticity before residual, so
+    the error is the one that max_eigpair, checking them one at a time,
+    would raise first.
+    """
+    t, residual = _first_bad_pair(w, lam, vecs)
+    _check_hermitian(w[: t + 1])
+    if t < len(w):
+        raise _residual_error(residual, float(lam[t]))
 
 
 def quad_form(w: np.ndarray, x: np.ndarray) -> float:

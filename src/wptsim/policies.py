@@ -28,8 +28,10 @@ exactly p_peak. Queue updates are Z <- max(Z + deficit, 0); each step
 returns the per-queue deficits so a drift bound can be checked externally.
 
 The threshold kinds carry no state, so their step decides a whole chunk of
-slots from one stacked eigensolve. The queue-driven steps depend on the
-queues, so they advance one slot at a time on a flat queue vector.
+slots from one stacked eigensolve. The queue-driven kinds depend on the
+queues, so they advance one slot at a time on a flat queue vector: the
+mdpp kinds one slot per call, mmf and qpf a whole chunk per call, with the
+checks of every slot's eigenpair batched to the end of the chunk.
 
 Each kind's step, needed parameters, queue sizes, combine rule and optimal
 reference live in its PolicySpec entry of POLICIES; the calibrated default V
@@ -38,13 +40,25 @@ formulas live in default_v.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from wptsim.channel import ScenarioConfig, _as_real
-from wptsim.linalg import eigh_stack, hermitian_part, max_eigpair, top_eigpair, weighted_combine
+from wptsim.linalg import (
+    _check_hermitian,
+    _eigh,
+    check_stack,
+    eigh_stack,
+    hermitian_part,
+    max_eigpair,
+    top_eigpair,
+    top_vector,
+    weighted_combine,
+)
 
 
 @dataclass
@@ -140,22 +154,100 @@ def _core_mdpp_power(q, params, ws, efficiency):
     return power, recv, np.array([power - params.p_avg])
 
 
-def _core_mmf(q, params, ws, efficiency):
+# ---------------------------------------------------------------------------
+# fairness policies: one chunk of slots per call. Their weights follow the
+# queues, so the slots are still stepped one by one, but only the work that
+# depends on the queues stays in the loop: the scalar queue arithmetic in
+# Python floats (the same IEEE operations as the per-slot step), one combine,
+# one eigh and, on a transmitting slot, the beam. The checks of every slot's
+# matrix and top pair run once per chunk on stacked buffers.
+
+
+def _sum(xs) -> float:
+    """float(np.sum(xs)), bit for bit: numpy adds fewer than 8 floats one
+    by one, as sum() does, and pairwise from 8 on."""
+    return sum(xs) if len(xs) < 8 else float(np.sum(xs))
+
+
+def _mmf_slot(q, beam, params):
+    """One mmf slot on q = [z, g_1..g_K]: the deficits, with the beam taken
+    through beam(weights, shift) -> (power, received)."""
     g = q[1:]
-    gamma = np.full(ws.shape[0], params.p_peak if params.v > float(g.sum()) else 0.0)
-    power, recv = _beam(g, q[0], params.p_peak, ws, efficiency)
-    return power, recv, np.concatenate(([power - params.p_avg], gamma - recv))
+    gamma = params.p_peak if params.v > _sum(g) else 0.0
+    power, recv = beam(g, q[0])
+    return [power - params.p_avg, *[gamma - r for r in recv]]
 
 
-def _core_qpf(q, params, ws, efficiency):
-    k = ws.shape[0]
+def _qpf_slot(q, beam, params):
+    """One qpf slot on q = [z_1..z_K, z_budget, g_1..g_K], as _mmf_slot."""
+    k = len(q) // 2
     z, g = q[: k + 1], q[k + 1 :]
     # gamma_i = min(V / G_i, p_peak); an empty queue gets the cap (V/0+ -> inf)
-    gamma = np.full(k, params.p_peak)
-    pos = g > 0.0
-    gamma[pos] = np.minimum(params.v / g[pos], params.p_peak)
-    power, recv = _beam(z[:k] + g, z[k], params.p_peak, ws, efficiency)
-    return power, recv, np.concatenate((params.p_min - recv, [power - params.p_avg], gamma - recv))
+    gamma = [min(params.v / x, params.p_peak) if x > 0.0 else params.p_peak for x in g]
+    power, recv = beam([a + b for a, b in zip(z, g)], z[k])
+    return [*[params.p_min - r for r in recv], power - params.p_avg, *[c - r for c, r in zip(gamma, recv)]]
+
+
+def _fairness_chunk(slot, q, params, ws_block, efficiency) -> tuple:
+    """Step a fairness policy through a chunk ws_block (T, K, N, N) from the
+    queue vector q.
+
+    Returns (qs, ds, received): the queues before each slot and after the
+    last (T + 1, n), each slot's deficits (T, n), and the received powers of
+    the transmitting slots in slot order. Every slot's decision, beam and
+    queues are those of max_eigpair(weighted_combine(weights, ws, shift))
+    and q <- max(q + d, 0), bit for bit. Finite weights and convergence are
+    checked as each slot is solved; Hermiticity and the top-pair residual of
+    every slot at the end of the chunk, or at the first failing slot, so the
+    run fails with the error the slot-by-slot checks would raise first.
+    """
+    t_slots, k, n = ws_block.shape[:3]
+    flat = ws_block.reshape(t_slots, k, n * n)
+    mats = np.empty((t_slots, n, n), dtype=np.complex128)
+    lams = np.empty(t_slots)
+    tops = np.empty((t_slots, n), dtype=np.complex128)
+    row = np.empty((1, k))
+    amp = np.sqrt(params.p_peak)
+    silent = [0.0] * k
+    received = []
+    t = 0
+
+    def beam(weights, shift):
+        if not (math.isfinite(shift) and all(map(math.isfinite, weights))):
+            raise ValueError("weights and shift must be finite")
+        # weighted_combine's arithmetic on this slot's Grams
+        row[0] = weights
+        m = np.dot(row, flat[t])
+        m[0, :: n + 1] -= shift
+        mats[t] = m = hermitian_part(m.reshape(n, n))
+        try:
+            vals, vecs = _eigh(m)
+        except ArithmeticError:
+            _check_hermitian(m)  # checked before the solve, slot by slot
+            raise
+        lams[t] = lam = float(vals[-1])
+        if lam > 0.0:
+            tops[t] = vec = top_vector(vals, vecs)
+            recv = _received(ws_block[t], amp * vec, efficiency)
+            received.append(recv)
+            return params.p_peak, recv.tolist()
+        # a silent slot's vector goes unused; its residual is checked on the
+        # solver's own unit vector, as eigh_stack checks it
+        tops[t] = vecs[:, -1]
+        return 0.0, silent
+
+    qs = [q.tolist()]
+    ds = []
+    try:
+        for t in range(t_slots):
+            d = slot(qs[t], beam, params)
+            ds.append(d)
+            qs.append([max(a + b, 0.0) for a, b in zip(qs[t], d)])
+    except (ValueError, ArithmeticError):
+        check_stack(mats[:t], lams[:t], tops[:t])
+        raise
+    check_stack(mats, lams, tops)
+    return np.array(qs), np.array(ds), received
 
 
 # ---------------------------------------------------------------------------
@@ -173,19 +265,23 @@ class PolicySpec:
     queue-driven kind takes one slot, ws of shape (K, N, N), and the queue
     vector q (constraint queues z first, then auxiliary queues g):
     step(q, params, ws, efficiency) returns (power, received, deficits), and
-    the caller applies q <- max(q + deficits, 0). needs names the
-    PolicyParams fields the kind reads. queues maps the receiver count K to
-    the sizes of z and g, None for a stateless kind. compare is the optimal
-    kind a queue-driven kind is measured against and the summary column the
-    gap is read on. combine_rule is a threshold kind's empirical_gain_spectrum
-    rule: "single" (W_1, one receiver only) or "sum" (sum_i W_i).
+    the caller applies q <- max(q + deficits, 0). A queue-driven kind with a
+    chunk kernel has no step: chunk(q, params, ws_block, efficiency) steps a
+    whole chunk and returns (qs, ds, received) as _fairness_chunk does.
+    needs names the PolicyParams fields the kind reads. queues maps the
+    receiver count K to the sizes of z and g, None for a stateless kind.
+    compare is the optimal kind a queue-driven kind is measured against and
+    the summary column the gap is read on. combine_rule is a threshold
+    kind's empirical_gain_spectrum rule: "single" (W_1, one receiver only)
+    or "sum" (sum_i W_i).
     """
 
-    step: Callable
+    step: Optional[Callable]
     needs: tuple
     queues: Optional[Callable[[int], tuple]] = None
     compare: Optional[tuple] = None
     combine_rule: Optional[str] = None
+    chunk: Optional[Callable] = None
 
 
 _POWER_REFERENCE = ("optimal-power", "total_received")
@@ -197,8 +293,12 @@ POLICIES = {
     ),
     "optimal-power": PolicySpec(_core_optimal_power, ("p_avg",), combine_rule="sum"),
     "mdpp-power": PolicySpec(_core_mdpp_power, ("v", "p_avg"), lambda k: (1, 0), _POWER_REFERENCE),
-    "mmf": PolicySpec(_core_mmf, ("v", "p_avg"), lambda k: (1, k), _POWER_REFERENCE),
-    "qpf": PolicySpec(_core_qpf, ("v", "p_avg", "p_min"), lambda k: (k + 1, k), _POWER_REFERENCE),
+    "mmf": PolicySpec(
+        None, ("v", "p_avg"), lambda k: (1, k), _POWER_REFERENCE, chunk=partial(_fairness_chunk, _mmf_slot)
+    ),
+    "qpf": PolicySpec(
+        None, ("v", "p_avg", "p_min"), lambda k: (k + 1, k), _POWER_REFERENCE, chunk=partial(_fairness_chunk, _qpf_slot)
+    ),
 }
 POLICY_KINDS = tuple(POLICIES)
 QUEUE_DRIVEN_KINDS = tuple(kind for kind, spec in POLICIES.items() if spec.queues is not None)
@@ -218,8 +318,16 @@ def policy_spec(kind: str) -> PolicySpec:
 
 
 def core_step(kind: str, q, params, ws, efficiency):
-    """Advance a queue-driven policy one slot: (power, received, deficits)."""
+    """Advance a queue-driven policy without a chunk kernel one slot:
+    (power, received, deficits)."""
     return POLICIES[kind].step(q, params, ws, efficiency)
+
+
+def queue_chunk(kind: str, q, params, ws_block, efficiency):
+    """Advance a queue-driven policy with a chunk kernel over a chunk:
+    (queues before each slot and after the last, deficits, received powers
+    of the transmitting slots)."""
+    return POLICIES[kind].chunk(q, params, ws_block, efficiency)
 
 
 def gap_bound_const(kind: str, n_receivers: int, p_peak: float) -> Optional[float]:

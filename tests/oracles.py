@@ -219,7 +219,7 @@ def step_mmf(state, params, ws, efficiency):
 def step_qpf(state, params, ws, efficiency):
     k = ws.shape[0]
     g = state.g
-    gamma = np.full(k, params.p_peak)
+    gamma = np.full(k, float(params.p_peak))
     pos = g > 0.0
     gamma[pos] = np.minimum(params.v / g[pos], params.p_peak)
     pair = max_eigpair(weighted_combine(state.z[:k] + g, ws, shift=state.z[k]))

@@ -78,6 +78,13 @@ MALFORMED = [
     ("policy", "v", float("nan")),
     ("policy", "p_min", float("nan")),
     ("policy", "p_targets", [float("nan")]),
+    ("scenario", "positions", [[float("nan"), 0.3]]),
+    ("scenario", "positions", [[0.3, float("inf")]]),
+    ("scenario", "positions", [[True, 0.3]]),
+    ("scenario", "positions", [["3", 0.3]]),
+    ("scenario", "ap_position", [float("nan"), 0.0]),
+    ("scenario", "ap_position", [float("-inf"), 0.0]),
+    ("scenario", "ap_position", [0.0, "3"]),
 ]
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from wptsim.linalg import (
     EigenPair,
+    check_stack,
     grams,
     max_eigpair,
     quad_form,
@@ -180,6 +181,35 @@ class TestMaxEigpair:
 
     def test_returns_eigenpair_type(self):
         assert isinstance(max_eigpair(np.eye(2, dtype=complex)), EigenPair)
+
+
+class TestCheckStack:
+    """The batched check of solved matrices and their top pairs."""
+
+    DIAG = np.diag([1.0, 2.0]).astype(complex)
+    TOP = np.array([0.0, 1.0], dtype=complex)
+
+    def stack(self, skewed=(), wrong=()):
+        """Three copies of diag(1, 2) with the pair (2, e2); the slots in
+        skewed get a non-Hermitian entry, those in wrong the pair (2, e1)."""
+        w = np.stack([self.DIAG] * 3)
+        vecs = np.stack([self.TOP] * 3)
+        for t in skewed:
+            w[t, 0, 1] = 1e-6
+        for t in wrong:
+            vecs[t] = [1.0, 0.0]
+        return w, np.full(3, 2.0), vecs
+
+    def test_accepts_hermitian_matrices_with_their_pairs(self):
+        check_stack(*self.stack())
+
+    @pytest.mark.parametrize(
+        "skewed, wrong, error",
+        [((1,), (), ValueError), ((), (2,), ArithmeticError), ((2,), (1,), ArithmeticError), ((1,), (1,), ValueError)],
+    )
+    def test_the_first_failing_matrix_decides_hermiticity_first(self, skewed, wrong, error):
+        with pytest.raises(error):
+            check_stack(*self.stack(skewed, wrong))
 
 
 class TestQuadForm:

@@ -18,6 +18,7 @@ from wptsim.policies import (
     core_step,
     default_v,
     gap_bound_const,
+    queue_chunk,
     resolve_params,
 )
 from wptsim.threshold import ThresholdValue
@@ -95,8 +96,13 @@ class TestOptimalPower:
 
 
 def advance(kind, q, params, ws, efficiency=1.0):
-    """One slot: (power, received, deficits, next queues)."""
+    """One slot: (power, received, deficits, next queues). A kind with a
+    chunk kernel steps a one-slot chunk."""
     q = np.asarray(q, dtype=np.float64)
+    if POLICIES[kind].chunk is not None:
+        qs, ds, on = queue_chunk(kind, q, params, ws[None], efficiency)
+        power, recv = (params.p_peak, on[0]) if on else (0.0, np.zeros(ws.shape[0]))
+        return power, recv, ds[0], qs[1]
     power, recv, d = core_step(kind, q, params, ws, efficiency)
     q_next, _, _ = advance_queues(q, float((q**2).sum()), d)
     return power, recv, d, q_next

@@ -27,9 +27,9 @@ from hypothesis import strategies as st
 from wptsim import harness
 from wptsim.channel import KAPPA_LOS_LIMIT, ScenarioConfig
 from wptsim.config import ConfigError, Experiment, experiment_from_mapping, experiment_to_mapping, preset_names
-from wptsim.harness import DRIFT_SLACK, SweepSpec, advance_queues, run
+from wptsim.harness import DRIFT_SLACK, SweepSpec, advance_queues, chunk_drift_slack, run
 from wptsim.linalg import HERMITIAN_ATOL, eigh_stack, max_eigpair
-from wptsim.policies import POLICIES, POLICY_KINDS, QUEUE_DRIVEN_KINDS, PolicyParams, core_step
+from wptsim.policies import POLICIES, POLICY_KINDS, QUEUE_DRIVEN_KINDS, PolicyParams, core_step, queue_chunk
 from oracles import random_hermitian
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -100,10 +100,17 @@ def test_policy_deficits_keep_the_drift_bound(kind, seed):
                           p_targets=(0.01, 0.02), p_min=0.005)
     q = rng.uniform(0.0, 50.0, size=sum(POLICIES[kind].queues(2)))
     q_sq = (q**2).sum()
+    ws_block = []
     for _ in range(20):
         h = rng.standard_normal((2, 4, 8)) + 1j * rng.standard_normal((2, 4, 8))
         ws = 1e-3 * np.einsum("kmn,kmp->knp", h.conj(), h)
-        ws = 0.5 * (ws + np.conj(np.swapaxes(ws, 1, 2)))
+        ws_block.append(0.5 * (ws + np.conj(np.swapaxes(ws, 1, 2))))
+    if POLICIES[kind].chunk is not None:
+        qs, ds, _ = queue_chunk(kind, q, params, np.stack(ws_block), 1.0)
+        assert np.all(qs >= 0.0)
+        assert chunk_drift_slack(qs, ds) <= DRIFT_SLACK
+        return
+    for ws in ws_block:
         _, _, d = core_step(kind, q, params, ws, 1.0)
         q, q_sq, slack = advance_queues(q, q_sq, d)
         assert np.all(q >= 0.0)
