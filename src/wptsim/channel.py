@@ -60,9 +60,16 @@ def _as_int(name: str, value) -> int:
 
 
 def _as_real(name: str, value):
-    """value unchanged if it is a real number; a bool, a string, a NaN or any
-    other non-number is a ValueError naming the field."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or math.isnan(value):
+    """value unchanged if it is a real number; a bool, a string, a NaN, an
+    int beyond the float range or any other non-number is a ValueError
+    naming the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        nan = math.isnan(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be a number, got an integer beyond the float range") from None
+    if nan:
         raise ValueError(f"{name} must be a number, got {value!r}")
     return value
 
@@ -70,11 +77,7 @@ def _as_real(name: str, value):
 def _as_coordinate(name: str, value) -> float:
     """value as a float if it is a finite real number; a bool, a string, a
     NaN, an infinity or any other non-number is a ValueError naming the field."""
-    try:
-        finite = math.isfinite(_as_real(name, value))
-    except OverflowError:  # an int beyond the float range
-        finite = False
-    if not finite:
+    if not math.isfinite(_as_real(name, value)):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
     return float(value)
 

@@ -4,6 +4,11 @@ Everything here operates on small dense Hermitian matrices (N <= 32). The
 weighted combinations used by the queue-driven policies are indefinite, so the
 dominant eigenpair is always the algebraically largest one, obtained from a
 full Hermitian eigendecomposition rather than power iteration.
+
+A solved pair passes one residual gate: per matrix in top_eigpair, per
+stack in check_stack. Only max_eigpair, whose matrix comes from a caller,
+checks Hermiticity; the matrices the policies build leave hermitian_part
+Hermitian bit for bit.
 """
 
 from __future__ import annotations
@@ -90,9 +95,9 @@ def weighted_combine(
 
 
 def _check_hermitian(w: np.ndarray) -> None:
-    """Reject unless max|W - W^H| <= HERMITIAN_ATOL over a matrix or a stack."""
+    """Reject unless max|W - W^H| <= HERMITIAN_ATOL."""
     dev = float(np.abs(w - w.swapaxes(-1, -2).conj()).max()) if w.size else 0.0
-    if dev > HERMITIAN_ATOL:
+    if not dev <= HERMITIAN_ATOL:
         raise ValueError(
             f"matrix is not Hermitian: max deviation {dev:.3e} exceeds {HERMITIAN_ATOL:.0e}"
         )
@@ -159,7 +164,7 @@ def top_eigpair(w: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> EigenPair:
     lam = float(vals[-1])
     vec = top_vector(vals, vecs)
     residual = _norm2(w @ vec - lam * vec)
-    if residual > RESIDUAL_RTOL * max(1.0, abs(lam)):
+    if not residual <= RESIDUAL_RTOL * max(1.0, abs(lam)):
         raise _residual_error(residual, lam)
     return EigenPair(lam, vec)
 
@@ -177,45 +182,17 @@ def max_eigpair(w: np.ndarray) -> EigenPair:
     return top_eigpair(w, vals, vecs)
 
 
-def _first_bad_pair(w: np.ndarray, lam: np.ndarray, vecs: np.ndarray) -> tuple:
-    """(t, residual) of the first pair (lam[t], vecs[t]) of a stack that is
-    not an eigenpair of w[t] to within RESIDUAL_RTOL * max(1, |lam[t]|), or
-    (len(w), 0.0) when every pair is."""
-    res = np.linalg.norm(np.matmul(w, vecs[:, :, None])[:, :, 0] - lam[:, None] * vecs, axis=1)
-    bad = np.flatnonzero(res > RESIDUAL_RTOL * np.maximum(1.0, np.abs(lam)))
-    return (int(bad[0]), float(res[bad[0]])) if bad.size else (len(w), 0.0)
-
-
-def eigh_stack(w: np.ndarray) -> tuple:
-    """(vals, vecs) of every matrix in a Hermitian stack (T, N, N), checked.
-
-    One stacked eigh, bit-identical to T single calls. The stack passes the
-    same checks as max_eigpair: Hermiticity, convergence, and the residual of
-    every matrix's top eigenpair, taken here on the solver's own unit vector
-    (top_vector's phase and tie conventions move a residual by round-off
-    only).
-    """
-    _check_hermitian(w)
-    vals, vecs = _eigh(w)
-    t, residual = _first_bad_pair(w, vals[:, -1], vecs[:, :, -1])
-    if t < len(w):
-        raise _residual_error(residual, float(vals[t, -1]))
-    return vals, vecs
-
-
 def check_stack(w: np.ndarray, lam: np.ndarray, vecs: np.ndarray) -> None:
-    """Reject a stack (T, N, N) of solved matrices unless each is Hermitian
-    and each (lam[t], vecs[t]) is an eigenpair of it to within the residual
-    tolerance.
-
-    The matrices are judged in stack order, Hermiticity before residual, so
-    the error is the one that max_eigpair, checking them one at a time,
-    would raise first.
+    """Reject a stack (T, N, N) of solved matrices unless each (lam[t],
+    vecs[t]) is an eigenpair of w[t] to within RESIDUAL_RTOL * max(1,
+    |lam[t]|). The error names the first failing pair in stack order, the one
+    top_eigpair, checking them one at a time, would raise first.
     """
-    t, residual = _first_bad_pair(w, lam, vecs)
-    _check_hermitian(w[: t + 1])
-    if t < len(w):
-        raise _residual_error(residual, float(lam[t]))
+    res = np.linalg.norm(np.matmul(w, vecs[:, :, None])[:, :, 0] - lam[:, None] * vecs, axis=1)
+    ok = res <= RESIDUAL_RTOL * np.maximum(1.0, np.abs(lam))
+    if not ok.all():
+        t = int(ok.argmin())
+        raise _residual_error(float(res[t]), float(lam[t]))
 
 
 def quad_form(w: np.ndarray, x: np.ndarray) -> float:

@@ -49,10 +49,8 @@ import numpy as np
 
 from wptsim.channel import ScenarioConfig, _as_real
 from wptsim.linalg import (
-    _check_hermitian,
     _eigh,
     check_stack,
-    eigh_stack,
     hermitian_part,
     max_eigpair,
     top_eigpair,
@@ -105,10 +103,12 @@ def _threshold_chunk(w, lambda_th, p_peak, ws_block, efficiency) -> np.ndarray:
     """Received powers (n_on, K) of the slots whose lambda_max(w[t]) clears
     lambda_th, in slot order; the other slots of the chunk stay silent.
 
-    One stacked eigh serves the whole chunk; the beam is built only for the
-    transmitting slots, by the same top_eigpair that max_eigpair uses.
+    One stacked eigh serves the whole chunk, and check_stack checks every
+    slot's top pair on the solver's own unit vector; the beam is built only
+    for the transmitting slots, by the same top_eigpair that max_eigpair uses.
     """
-    vals, vecs = eigh_stack(w)
+    vals, vecs = _eigh(w)
+    check_stack(w, vals[:, -1], vecs[:, :, -1])
     on = np.flatnonzero(vals[:, -1] >= lambda_th)
     recv = np.empty((on.size, ws_block.shape[1]))
     amp = np.sqrt(p_peak)
@@ -159,8 +159,8 @@ def _core_mdpp_power(q, params, ws, efficiency):
 # queues, so the slots are still stepped one by one, but only the work that
 # depends on the queues stays in the loop: the scalar queue arithmetic in
 # Python floats (the same IEEE operations as the per-slot step), one combine,
-# one eigh and, on a transmitting slot, the beam. The checks of every slot's
-# matrix and top pair run once per chunk on stacked buffers.
+# one eigh and, on a transmitting slot, the beam. The residual check of
+# every slot's top pair runs once per chunk on stacked buffers.
 
 
 def _sum(xs) -> float:
@@ -197,9 +197,11 @@ def _fairness_chunk(slot, q, params, ws_block, efficiency) -> tuple:
     the transmitting slots in slot order. Every slot's decision, beam and
     queues are those of max_eigpair(weighted_combine(weights, ws, shift))
     and q <- max(q + d, 0), bit for bit. Finite weights and convergence are
-    checked as each slot is solved; Hermiticity and the top-pair residual of
-    every slot at the end of the chunk, or at the first failing slot, so the
-    run fails with the error the slot-by-slot checks would raise first.
+    checked as each slot is solved, and the top-pair residual of every slot
+    at the end of the chunk, or before the first inline failure is raised, so
+    the run fails with the error the slot-by-slot checks would raise first.
+    Each slot's matrix leaves hermitian_part Hermitian bit for bit, so it is
+    not checked for Hermiticity.
     """
     t_slots, k, n = ws_block.shape[:3]
     flat = ws_block.reshape(t_slots, k, n * n)
@@ -220,11 +222,7 @@ def _fairness_chunk(slot, q, params, ws_block, efficiency) -> tuple:
         m = np.dot(row, flat[t])
         m[0, :: n + 1] -= shift
         mats[t] = m = hermitian_part(m.reshape(n, n))
-        try:
-            vals, vecs = _eigh(m)
-        except ArithmeticError:
-            _check_hermitian(m)  # checked before the solve, slot by slot
-            raise
+        vals, vecs = _eigh(m)
         lams[t] = lam = float(vals[-1])
         if lam > 0.0:
             tops[t] = vec = top_vector(vals, vecs)
@@ -232,7 +230,7 @@ def _fairness_chunk(slot, q, params, ws_block, efficiency) -> tuple:
             received.append(recv)
             return params.p_peak, recv.tolist()
         # a silent slot's vector goes unused; its residual is checked on the
-        # solver's own unit vector, as eigh_stack checks it
+        # solver's own unit vector, as _threshold_chunk checks it
         tops[t] = vecs[:, -1]
         return 0.0, silent
 

@@ -5,6 +5,7 @@ import json
 import pytest
 import yaml
 
+from wptsim.channel import ScenarioConfig
 from wptsim.cli import main
 from wptsim.config import (
     ConfigError,
@@ -14,6 +15,7 @@ from wptsim.config import (
     load_preset,
     preset_names,
 )
+from wptsim.policies import PolicyParams
 
 MINIMAL = {
     "scenario": {"n_tx": 4, "n_rx": 2, "positions": [[0.3, 0.3]], "slots": 40, "seed": 7},
@@ -85,6 +87,12 @@ MALFORMED = [
     ("scenario", "ap_position", [float("nan"), 0.0]),
     ("scenario", "ap_position", [float("-inf"), 0.0]),
     ("scenario", "ap_position", [0.0, "3"]),
+]
+
+# every scalar float field, each given an int too large to become a float
+FLOAT_FIELDS = [
+    *[(ScenarioConfig, name) for name in ("rician_kappa", "pathloss_exponent", "reference_gain", "efficiency")],
+    *[(PolicyParams, name) for name in ("p_peak", "v", "p_avg", "p_min")],
 ]
 
 
@@ -162,6 +170,12 @@ class TestStrictParsing:
             experiment_from_mapping({**MINIMAL, "policy": {"p_peak": 5.0}})
         with pytest.raises(ConfigError, match="policy.p_peak: required"):
             experiment_from_mapping({**MINIMAL, "policy": {"kind": "mdpp-power"}})
+
+    @pytest.mark.parametrize("cls, name", FLOAT_FIELDS)
+    def test_an_int_beyond_the_float_range_is_named(self, cls, name):
+        base = {"p_peak": 5.0} if cls is PolicyParams else {}
+        with pytest.raises(ValueError, match=f"{name} must be a number"):
+            cls(**{**base, name: 10**400})
 
     def test_invalid_values_surface_as_config_errors(self):
         bad = {**MINIMAL, "scenario": {**MINIMAL["scenario"], "n_rx": 4}}
@@ -380,6 +394,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()
+
+    def test_an_int_beyond_the_float_range_is_named_without_traceback(self, tmp_path, capsys):
+        data = {**MINIMAL, "scenario": {**MINIMAL["scenario"], "efficiency": 10**400}}
+        config = write_config(tmp_path, data)
+        assert "efficiency: 1" + "0" * 400 + "\n" in (tmp_path / "exp.yaml").read_text()
+        assert main(["run", "--config", config, "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "efficiency must be a number" in err and "Traceback" not in err
 
     def test_missing_policy_field_is_named(self, tmp_path, capsys):
         data = {**MINIMAL, "policy": {"kind": "mmf", "p_peak": 5.0}}

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wptsim import harness
+from wptsim import harness, linalg, policies
 from wptsim.channel import KAPPA_LOS_LIMIT, ScenarioConfig
 from wptsim.config import load_preset
 from wptsim.harness import (
@@ -156,6 +156,43 @@ class TestRunBookkeeping:
         monkeypatch.setattr(harness, "core_step", nan_step)
         with pytest.raises(ArithmeticError, match="nonnegative"):
             run(scenario(slots=10), PolicyParams(p_peak=5.0, v=1.0, p_avg=2.5), "mdpp-power")
+
+    @staticmethod
+    def threshold_run(kind):
+        positions = TWO_RX[:1] if kind == "optimal-energy" else TWO_RX
+        params = PolicyParams(p_peak=5.0, p_avg=2.5, p_targets=(0.005,) * len(positions))
+        return run(scenario(slots=300, positions=positions), params, kind, warmup_samples=256)
+
+    @pytest.mark.parametrize("kind", ("optimal-energy", "optimal-power"))
+    def test_a_wrong_stacked_top_vector_fails_a_threshold_run(self, kind, monkeypatch):
+        # the stacked gate: every slot's top pair, on the solver's own vector
+        eigh = np.linalg.eigh
+
+        def bottom_as_top(w):
+            vals, vecs = eigh(w)
+            vecs = vecs.copy()
+            vecs[..., -1] = vecs[..., 0]
+            return vals, vecs
+
+        beams = []
+        top_eigpair = policies.top_eigpair
+
+        def counted(*args):
+            beams.append(args)
+            return top_eigpair(*args)
+
+        monkeypatch.setattr(np.linalg, "eigh", bottom_as_top)
+        monkeypatch.setattr(policies, "top_eigpair", counted)
+        with pytest.raises(ArithmeticError, match="residual"):
+            self.threshold_run(kind)
+        assert not beams  # raised before any beam was built
+
+    @pytest.mark.parametrize("kind", ("optimal-energy", "optimal-power"))
+    def test_a_wrong_beam_fails_a_threshold_run(self, kind, monkeypatch):
+        # the per-slot gate: top_eigpair checks the beam of each transmitting slot
+        monkeypatch.setattr(linalg, "top_vector", lambda vals, vecs: vecs[:, 0].copy())
+        with pytest.raises(ArithmeticError, match="residual"):
+            self.threshold_run(kind)
 
     @pytest.mark.parametrize("kind", QUEUE_DRIVEN_KINDS)
     def test_missing_field_is_named_before_v_is_derived(self, kind):

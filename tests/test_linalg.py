@@ -5,13 +5,18 @@ Derived values are checked against the independent oracles in oracles.py
 the library's own code paths.
 """
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wptsim.linalg import (
     EigenPair,
     check_stack,
     grams,
+    hermitian_part,
     max_eigpair,
     quad_form,
     weighted_combine,
@@ -71,14 +76,41 @@ class TestGram:
             grams(np.ones(4))
 
 
-class TestHermitianize:
-    """grams and weighted_combine average their result with its conjugate
-    transpose, so their outputs are Hermitian bit for bit."""
+def exactly_hermitian(w):
+    return np.array_equal(w, np.conj(np.swapaxes(w, -1, -2)))
 
-    def test_exact_hermitian_output(self):
-        rng = np.random.default_rng(103)
-        w = grams(random_complex(rng, 4 * 3, 5).reshape(4, 3, 5))
-        assert np.array_equal(w, np.conj(np.swapaxes(w, -1, -2)))
+
+@st.composite
+def stacks(draw, top):
+    """A random complex stack (T, N, N) with entries of magnitude 10**-top to
+    10**top, C-ordered or with its last two axes stored transposed."""
+    t, n = draw(st.integers(1, 40)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = random_complex(rng, t * n, n).reshape(t, n, n) * 10.0 ** draw(st.integers(-top, top - 1))
+    return np.ascontiguousarray(w.swapaxes(1, 2)).swapaxes(1, 2) if draw(st.booleans()) else w
+
+
+class TestHermitianize:
+    """hermitian_part averages a stack with its conjugate transpose, and
+    every matrix the policies solve leaves it Hermitian bit for bit. The
+    chunk kernels rely on this: they check no Hermiticity of their own."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(stacks(300), stacks(150), st.integers(1, 3))
+    def test_exact_hermitian_output(self, w, h, k):
+        assert exactly_hermitian(hermitian_part(w))
+        # the matrices the kernels solve, on channels h of k receivers: each
+        # slot's Grams, optimal-power's summed Grams and the fairness
+        # kernel's weighted sum
+        t, n = h.shape[:2]
+        ws = grams(np.resize(h, (t, k, n, n)))
+        assert exactly_hermitian(ws)
+        assert exactly_hermitian(hermitian_part(ws.sum(axis=1)))
+        row = np.random.default_rng(t).uniform(0.0, 50.0, size=(1, k))
+        for gram in ws.reshape(t, k, n * n):
+            m = np.dot(row, gram)
+            m[0, :: n + 1] -= 3.0
+            assert exactly_hermitian(hermitian_part(m.reshape(n, n)))
 
     def test_fixpoint_on_hermitian_input(self):
         rng = np.random.default_rng(104)
@@ -179,37 +211,50 @@ class TestMaxEigpair:
         with pytest.raises(ValueError):
             max_eigpair(np.ones((2, 3), dtype=complex))
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_rejects_a_non_finite_entry(self, entry):
+        with pytest.raises(ValueError):
+            max_eigpair(np.diag([entry, 1.0, 1.0]).astype(complex))
+
     def test_returns_eigenpair_type(self):
         assert isinstance(max_eigpair(np.eye(2, dtype=complex)), EigenPair)
 
 
 class TestCheckStack:
-    """The batched check of solved matrices and their top pairs."""
+    """The batched residual check of solved matrices and their top pairs."""
 
     DIAG = np.diag([1.0, 2.0]).astype(complex)
     TOP = np.array([0.0, 1.0], dtype=complex)
 
-    def stack(self, skewed=(), wrong=()):
+    def stack(self, wrong=()):
         """Three copies of diag(1, 2) with the pair (2, e2); the slots in
-        skewed get a non-Hermitian entry, those in wrong the pair (2, e1)."""
+        wrong get the pair (t + 2, e1), whose residual is t + 1."""
         w = np.stack([self.DIAG] * 3)
+        lam = np.full(3, 2.0)
         vecs = np.stack([self.TOP] * 3)
-        for t in skewed:
-            w[t, 0, 1] = 1e-6
         for t in wrong:
+            lam[t] = t + 2.0
             vecs[t] = [1.0, 0.0]
-        return w, np.full(3, 2.0), vecs
+        return w, lam, vecs
 
     def test_accepts_hermitian_matrices_with_their_pairs(self):
         check_stack(*self.stack())
 
-    @pytest.mark.parametrize(
-        "skewed, wrong, error",
-        [((1,), (), ValueError), ((), (2,), ArithmeticError), ((2,), (1,), ArithmeticError), ((1,), (1,), ValueError)],
-    )
-    def test_the_first_failing_matrix_decides_hermiticity_first(self, skewed, wrong, error):
-        with pytest.raises(error):
-            check_stack(*self.stack(skewed, wrong))
+    @pytest.mark.parametrize("wrong, first", [((2,), 2), ((1, 2), 1), ((0, 2), 0)])
+    def test_the_first_failing_pair_is_named(self, wrong, first):
+        message = f"residual {first + 1:.3e} exceeds tolerance for eigenvalue {first + 2}"
+        with pytest.raises(ArithmeticError, match=re.escape(message)):
+            check_stack(*self.stack(wrong))
+
+    @pytest.mark.parametrize("where", ["value", "vector"])
+    def test_rejects_a_nan_pair(self, where):
+        w, lam, vecs = self.stack()
+        if where == "value":
+            lam[1] = np.nan
+        else:
+            vecs[1, 0] = np.nan
+        with pytest.raises(ArithmeticError, match="residual nan"):
+            check_stack(w, lam, vecs)
 
 
 class TestQuadForm:
