@@ -5,10 +5,10 @@ time-averaged metrics; for the optimal threshold policies it first estimates
 the transmit threshold from a warm-up eigenvalue spectrum drawn on an RNG
 stream disjoint from the evaluation stream. Slots are sampled and their
 Grams formed in blocks of _CHUNK; a threshold policy decides a whole block
-at once, a queue-driven one steps through it slot by slot, either in one
-call of its chunk kernel or one core_step call per slot. The block size
-does not move a single bit of the summary. sweep() repeats run() over a
-one-parameter grid with independently seeded repetitions.
+at once, a queue-driven one steps through it slot by slot in one core_step
+call per block. The block size does not move a single bit of the summary.
+sweep() repeats run() over a one-parameter grid with independently seeded
+repetitions.
 
 Every queue-driven run checks the realized quadratic-drift inequality on
 every slot: with L = (1/2) sum_q q^2 over all queues and per-queue update
@@ -43,7 +43,6 @@ from wptsim.policies import (
     core_step,
     gap_bound_const,
     policy_spec,
-    queue_chunk,
     resolve_params,
     _core_optimal_energy,
     _core_optimal_power,
@@ -142,28 +141,19 @@ def power_scale(params: PolicyParams) -> float:
     return max(candidates)
 
 
-def advance_queues(q: np.ndarray, q_sq, d: np.ndarray) -> tuple:
-    """One queue update q <- max(q + d, 0) and its drift slack.
-
-    q_sq is sum(q**2) as returned by the previous update (0.0 for all-zero
-    queues). Returns (new q, its sum of squares, slack), where slack is the
-    amount by which L' - L exceeds q.d + |d|^2 / 2 for L = sum(q^2) / 2;
-    the inequality holds exactly, so the slack is pure round-off.
-    """
-    q_new = np.maximum(q + d, 0.0)
-    q_new_sq = (q_new**2).sum()
-    lhs = 0.5 * float(q_new_sq - q_sq)
-    rhs = float(np.dot(q, d) + 0.5 * (d**2).sum())
-    return q_new, q_new_sq, lhs - rhs
-
-
 def chunk_drift_slack(qs: np.ndarray, ds: np.ndarray) -> float:
-    """The largest advance_queues slack over a chunk, every slot bit for bit.
+    """The largest drift slack over a chunk.
 
-    Row t of qs holds the queues before slot t (the last row the queues
-    after the chunk), row t of ds the deficits of slot t. Row sums of
-    squares and (1, n) @ (n, 1) products round as advance_queues' 1-D sums
-    and np.dot do. A NaN slack is passed over, as max() passes over it.
+    Row t of qs holds the queues q before slot t (the last row the queues
+    after the chunk), row t of ds the deficits d of slot t, so that
+    qs[t + 1] = max(qs[t] + d, 0). Slot t's slack is the amount by which
+    L(qs[t + 1]) - L(qs[t]) exceeds q.d + |d|^2 / 2 for L(q) = sum(q^2) / 2:
+
+        0.5 * (sum(q'^2) - sum(q^2)) - (dot(q, d) + 0.5 * sum(d^2))
+
+    The inequality holds exactly, so the slack is pure round-off. Row sums of
+    squares and (1, n) @ (n, 1) products round as the 1-D np.sum and np.dot
+    of each slot do. A NaN slack is passed over, as max() passes over it.
     """
     sq = (qs**2).sum(axis=1)
     lhs = 0.5 * (sq[1:] - sq[:-1])
@@ -205,39 +195,28 @@ def run(
     drift_slack_max = 0.0
     nz, ng = spec.queues(k) if queue_driven else (0, 0)
     q = np.zeros(nz + ng)
-    q_sq = 0.0
 
     rng = evaluation_rng(cfg)
     done = 0
     while done < cfg.slots:
         take = min(_CHUNK, cfg.slots - done)
         ws_block = grams(sample_slot_block(cfg, rng, take))
-        if not queue_driven:
-            step = _core_optimal_energy if spec.combine_rule == "single" else _core_optimal_power
-            on_recv = step(params, threshold, ws_block, eff)
-        elif spec.chunk is not None:
-            qs, ds, on_recv = queue_chunk(policy_kind, q, params, ws_block, eff)
+        if queue_driven:
+            qs, ds, on_recv = core_step(policy_kind, q, params, ws_block, eff)
             q = qs[-1]
             drift_slack_max = max(drift_slack_max, chunk_drift_slack(qs, ds))
+            # max(q + d, 0) is never negative and a NaN persists to the end
+            # of the block, so the block's last queues cover every slot
+            if not (q >= 0.0).all():
+                raise ArithmeticError(f"queues left the nonnegative orthant: {q}")
         else:
-            on_recv = ()
-            for j in range(take):
-                power, recv, d = core_step(policy_kind, q, params, ws_block[j], eff)
-                q, q_sq, slack = advance_queues(q, q_sq, d)
-                drift_slack_max = max(drift_slack_max, slack)
-                if power:
-                    sum_transmit += power
-                    sum_recv += recv
-                    transmit_slots += 1
-        # the transmitting slots of a chunk step, in slot order
+            step = _core_optimal_energy if spec.combine_rule == "single" else _core_optimal_power
+            on_recv = step(params, threshold, ws_block, eff)
+        # the transmitting slots of the block, in slot order
         for recv in on_recv:
             sum_transmit += params.p_peak
             sum_recv += recv
             transmit_slots += 1
-        # max(q + d, 0) is never negative, and a NaN would persist to the
-        # end of the block, so checking the block's last queues covers it
-        if queue_driven and not (q >= 0.0).all():
-            raise ArithmeticError(f"queues left the nonnegative orthant: {q}")
         done += take
         del ws_block  # freed before the next block is sampled
 

@@ -199,13 +199,19 @@ def quad_form(w: np.ndarray, x: np.ndarray) -> float:
     """Quadratic form x^H W x as a real number.
 
     W must be Hermitian so the form is real; a relative imaginary part above
-    1e-10 is rejected rather than silently discarded.
+    1e-10 is rejected rather than silently discarded. A non-finite entry of
+    W or x, and a form that overflows, are rejected too.
     """
     w = np.asarray(w, dtype=np.complex128)
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim != 1 or w.shape != (x.size, x.size):
         raise ValueError(f"dimension mismatch: matrix {w.shape} vs vector {x.shape}")
-    val = complex(np.vdot(x, w @ x))
+    if not (np.isfinite(w).all() and np.isfinite(x).all()):
+        raise ValueError("quadratic form of a non-finite matrix or vector")
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = complex(np.vdot(x, w @ x))
+    if not np.isfinite(val):
+        raise ValueError(f"quadratic form is not finite ({val}); W or x is too large")
     if abs(val.imag) > 1e-10 * max(1.0, abs(val)):
         raise ValueError(f"quadratic form is not real (imag {val.imag:.3e}); W must be Hermitian")
     return val.real

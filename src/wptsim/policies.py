@@ -27,10 +27,10 @@ policies stay silent. Beam amplitude is sqrt(p_peak), so transmit power is
 exactly p_peak. Queue updates are Z <- max(Z + deficit, 0); each step
 returns the per-queue deficits so a drift bound can be checked externally.
 
-The threshold kinds carry no state, so their step decides a whole chunk of
-slots from one stacked eigensolve. The queue-driven kinds depend on the
-queues, so they advance one slot at a time on a flat queue vector: the
-mdpp kinds one slot per call, mmf and qpf a whole chunk per call, with the
+The threshold kinds carry no state, so their kernel decides a whole chunk
+of slots from one stacked eigensolve. The queue-driven kinds depend on the
+queues, so their step advances a whole chunk one slot at a time on a flat
+queue vector: the mdpp kinds through max_eigpair, mmf and qpf with the
 checks of every slot's eigenpair batched to the end of the chunk.
 
 Each kind's step, needed parameters, queue sizes, combine rule and optimal
@@ -131,8 +131,8 @@ def _core_optimal_power(params, threshold, ws_block, efficiency):
 
 
 # ---------------------------------------------------------------------------
-# queue-driven policies: one slot per call on the queue vector q, constraint
-# queues (z) first, then auxiliary queues (g)
+# mdpp policies: one slot per _core_mdpp_* call on the queue vector q,
+# constraint queues (z) first, then auxiliary queues (g)
 
 
 def _beam(weights, shift, p_peak, ws, efficiency) -> tuple:
@@ -152,6 +152,21 @@ def _core_mdpp_energy(q, params, ws, efficiency):
 def _core_mdpp_power(q, params, ws, efficiency):
     power, recv = _beam(np.full(ws.shape[0], params.v), q[0], params.p_peak, ws, efficiency)
     return power, recv, np.array([power - params.p_avg])
+
+
+def _mdpp_chunk(core, q, params, ws_block, efficiency) -> tuple:
+    """Step an mdpp policy through a chunk ws_block (T, K, N, N) from the
+    queue vector q, one core(q, params, ws, efficiency) -> (power, received,
+    deficits) call per slot and q <- max(q + d, 0) after it. Returns
+    (qs, ds, received) as PolicySpec.step says."""
+    qs, ds, received = [q], [], []
+    for ws in ws_block:
+        power, recv, d = core(qs[-1], params, ws, efficiency)
+        qs.append(np.maximum(qs[-1] + d, 0.0))
+        ds.append(d)
+        if power:
+            received.append(recv)
+    return np.array(qs), np.array(ds), received
 
 
 # ---------------------------------------------------------------------------
@@ -192,16 +207,15 @@ def _fairness_chunk(slot, q, params, ws_block, efficiency) -> tuple:
     """Step a fairness policy through a chunk ws_block (T, K, N, N) from the
     queue vector q.
 
-    Returns (qs, ds, received): the queues before each slot and after the
-    last (T + 1, n), each slot's deficits (T, n), and the received powers of
-    the transmitting slots in slot order. Every slot's decision, beam and
-    queues are those of max_eigpair(weighted_combine(weights, ws, shift))
-    and q <- max(q + d, 0), bit for bit. Finite weights and convergence are
-    checked as each slot is solved, and the top-pair residual of every slot
-    at the end of the chunk, or before the first inline failure is raised, so
-    the run fails with the error the slot-by-slot checks would raise first.
-    Each slot's matrix leaves hermitian_part Hermitian bit for bit, so it is
-    not checked for Hermiticity.
+    Returns (qs, ds, received) as PolicySpec.step says. Every slot's
+    decision, beam and queues are those of max_eigpair(weighted_combine(
+    weights, ws, shift)) and q <- max(q + d, 0), bit for bit. Finite weights
+    and convergence are checked as each slot is solved, and the top-pair
+    residual of every slot at the end of the chunk, or before the first
+    inline failure is raised, so the run fails with the error the
+    slot-by-slot checks would raise first. Each slot's matrix leaves
+    hermitian_part Hermitian bit for bit, so it is not checked for
+    Hermiticity.
     """
     t_slots, k, n = ws_block.shape[:3]
     flat = ws_block.reshape(t_slots, k, n * n)
@@ -256,46 +270,45 @@ def _fairness_chunk(slot, q, params, ws_block, efficiency) -> tuple:
 class PolicySpec:
     """The facts that set one policy kind apart from the others.
 
-    step advances the policy on the channel Grams. A stateless threshold
-    kind takes a whole chunk, ws_block of shape (T, K, N, N):
-    step(params, threshold, ws_block, efficiency) returns the received
-    powers (n_on, K) of the chunk's transmitting slots, in slot order. A
-    queue-driven kind takes one slot, ws of shape (K, N, N), and the queue
-    vector q (constraint queues z first, then auxiliary queues g):
-    step(q, params, ws, efficiency) returns (power, received, deficits), and
-    the caller applies q <- max(q + deficits, 0). A queue-driven kind with a
-    chunk kernel has no step: chunk(q, params, ws_block, efficiency) steps a
-    whole chunk and returns (qs, ds, received) as _fairness_chunk does.
     needs names the PolicyParams fields the kind reads. queues maps the
     receiver count K to the sizes of z and g, None for a stateless kind.
     compare is the optimal kind a queue-driven kind is measured against and
     the summary column the gap is read on. combine_rule is a threshold
     kind's empirical_gain_spectrum rule: "single" (W_1, one receiver only)
-    or "sum" (sum_i W_i).
+    or "sum" (sum_i W_i); it also picks the threshold kind's kernel,
+    _core_optimal_energy or _core_optimal_power. step advances a
+    queue-driven kind through a chunk ws_block (T, K, N, N) from the queue
+    vector q (constraint queues z first, then auxiliary queues g):
+    step(q, params, ws_block, efficiency) returns (qs, ds, received), the
+    queues before each slot and after the last (T + 1, n), each slot's
+    deficits (T, n) with qs[t + 1] = max(qs[t] + ds[t], 0), and the
+    received powers of the transmitting slots in slot order.
     """
 
-    step: Optional[Callable]
     needs: tuple
     queues: Optional[Callable[[int], tuple]] = None
     compare: Optional[tuple] = None
     combine_rule: Optional[str] = None
-    chunk: Optional[Callable] = None
+    step: Optional[Callable] = None
 
 
 _POWER_REFERENCE = ("optimal-power", "total_received")
 
 POLICIES = {
-    "optimal-energy": PolicySpec(_core_optimal_energy, ("p_targets",), combine_rule="single"),
+    "optimal-energy": PolicySpec(("p_targets",), combine_rule="single"),
     "mdpp-energy": PolicySpec(
-        _core_mdpp_energy, ("v", "p_targets"), lambda k: (k, 0), ("optimal-energy", "avg_transmit_power")
+        ("v", "p_targets"),
+        lambda k: (k, 0),
+        ("optimal-energy", "avg_transmit_power"),
+        step=partial(_mdpp_chunk, _core_mdpp_energy),
     ),
-    "optimal-power": PolicySpec(_core_optimal_power, ("p_avg",), combine_rule="sum"),
-    "mdpp-power": PolicySpec(_core_mdpp_power, ("v", "p_avg"), lambda k: (1, 0), _POWER_REFERENCE),
-    "mmf": PolicySpec(
-        None, ("v", "p_avg"), lambda k: (1, k), _POWER_REFERENCE, chunk=partial(_fairness_chunk, _mmf_slot)
+    "optimal-power": PolicySpec(("p_avg",), combine_rule="sum"),
+    "mdpp-power": PolicySpec(
+        ("v", "p_avg"), lambda k: (1, 0), _POWER_REFERENCE, step=partial(_mdpp_chunk, _core_mdpp_power)
     ),
+    "mmf": PolicySpec(("v", "p_avg"), lambda k: (1, k), _POWER_REFERENCE, step=partial(_fairness_chunk, _mmf_slot)),
     "qpf": PolicySpec(
-        None, ("v", "p_avg", "p_min"), lambda k: (k + 1, k), _POWER_REFERENCE, chunk=partial(_fairness_chunk, _qpf_slot)
+        ("v", "p_avg", "p_min"), lambda k: (k + 1, k), _POWER_REFERENCE, step=partial(_fairness_chunk, _qpf_slot)
     ),
 }
 POLICY_KINDS = tuple(POLICIES)
@@ -315,17 +328,11 @@ def policy_spec(kind: str) -> PolicySpec:
     return POLICIES[kind]
 
 
-def core_step(kind: str, q, params, ws, efficiency):
-    """Advance a queue-driven policy without a chunk kernel one slot:
-    (power, received, deficits)."""
-    return POLICIES[kind].step(q, params, ws, efficiency)
-
-
-def queue_chunk(kind: str, q, params, ws_block, efficiency):
-    """Advance a queue-driven policy with a chunk kernel over a chunk:
-    (queues before each slot and after the last, deficits, received powers
-    of the transmitting slots)."""
-    return POLICIES[kind].chunk(q, params, ws_block, efficiency)
+def core_step(kind: str, q, params, ws_block, efficiency):
+    """Advance a queue-driven policy over a chunk: (queues before each slot
+    and after the last, deficits, received powers of the transmitting
+    slots), as PolicySpec.step says."""
+    return POLICIES[kind].step(q, params, ws_block, efficiency)
 
 
 def gap_bound_const(kind: str, n_receivers: int, p_peak: float) -> Optional[float]:

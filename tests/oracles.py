@@ -242,6 +242,15 @@ QUEUE_STEPS = {
 }
 
 
+def drift_slack(q_prev, q_new, d):
+    """One slot's drift slack: the amount by which L(q_new) - L(q_prev)
+    exceeds q_prev.d + |d|^2 / 2 for L(q) = sum(q^2) / 2, in 1-D np.sum and
+    np.dot."""
+    lhs = 0.5 * float(np.sum(q_new**2) - np.sum(q_prev**2))
+    rhs = float(np.dot(q_prev, d) + 0.5 * np.sum(d**2))
+    return lhs - rhs
+
+
 def run_per_slot(cfg, params, kind, warmup_samples=WARMUP_SAMPLES):
     """harness.run's to_row(), one sampled slot and one step at a time."""
     k = cfg.n_receivers
@@ -261,9 +270,7 @@ def run_per_slot(cfg, params, kind, warmup_samples=WARMUP_SAMPLES):
             q_prev = np.concatenate((state.z, state.g))
             dec, state = QUEUE_STEPS[kind](state, params, ws, cfg.efficiency)
             q_new = np.concatenate((state.z, state.g))
-            lhs = 0.5 * float(np.sum(q_new**2) - np.sum(q_prev**2))
-            rhs = float(np.dot(q_prev, dec.deficits) + 0.5 * np.sum(dec.deficits**2))
-            drift_slack_max = max(drift_slack_max, lhs - rhs)
+            drift_slack_max = max(drift_slack_max, drift_slack(q_prev, q_new, dec.deficits))
         else:
             dec = THRESHOLD_STEPS[kind](params, threshold, ws, cfg.efficiency)
         sum_transmit += dec.transmitted_power

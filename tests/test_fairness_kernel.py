@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from wptsim import harness, linalg, policies
 from wptsim.channel import KAPPA_LOS_LIMIT, ScenarioConfig
-from wptsim.policies import PolicyParams, queue_chunk
+from wptsim.policies import PolicyParams, core_step
 from oracles import run_per_slot
 
 FAIRNESS_KINDS = ("mmf", "qpf")
@@ -122,7 +122,7 @@ def test_a_nan_queue_fails_the_finite_check(kind):
     q, params, ws_block = chunk_inputs(kind)
     q[0] = np.nan
     with pytest.raises(ValueError, match="weights and shift must be finite"):
-        queue_chunk(kind, q, params, ws_block, 1.0)
+        core_step(kind, q, params, ws_block, 1.0)
 
 
 def no_convergence(w):
@@ -167,4 +167,4 @@ def test_the_first_failing_slot_decides_the_error(kind, wrong_from, error, monke
     monkeypatch.setattr(policies, "_received", nan_from_slot_20)
     q, params, ws_block = chunk_inputs(kind)
     with pytest.raises(error):
-        queue_chunk(kind, q, params, ws_block, 1.0)
+        core_step(kind, q, params, ws_block, 1.0)

@@ -150,8 +150,10 @@ class TestRunBookkeeping:
             assert run(cfg, exp.params, "mdpp-power").to_row() == want
 
     def test_queues_outside_the_orthant_are_rejected(self, monkeypatch):
-        def nan_step(kind, q, params, ws, efficiency):
-            return 0.0, np.zeros(ws.shape[0]), np.full(q.shape, np.nan)
+        def nan_step(kind, q, params, ws_block, efficiency):
+            qs = np.full((len(ws_block) + 1, q.size), np.nan)
+            qs[0] = q
+            return qs, np.full((len(ws_block), q.size), np.nan), []
 
         monkeypatch.setattr(harness, "core_step", nan_step)
         with pytest.raises(ArithmeticError, match="nonnegative"):

@@ -281,6 +281,21 @@ class TestQuadForm:
         with pytest.raises(ValueError):
             quad_form(np.eye(3, dtype=complex), np.ones(2))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "w, x",
+        [(np.eye(2), [np.nan, 0.0]), (np.diag([np.inf, 1.0]), [1.0, 0.0]), (np.diag([np.nan, 1.0]), [0.0, 1.0])],
+        ids=["nan-vector", "inf-matrix", "nan-matrix-off-the-vector"],
+    )
+    def test_rejects_a_non_finite_input(self, w, x):
+        with pytest.raises(ValueError, match="non-finite"):
+            quad_form(w, x)
+
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_a_form_that_overflows(self):
+        with pytest.raises(ValueError, match="not finite"):
+            quad_form(1e200 * np.eye(2), [1e200, 0.0])
+
 
 class TestSpectralBound:
     """quad_form(W, v) never exceeds the top eigenvalue times the squared

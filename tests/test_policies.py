@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from wptsim.channel import ScenarioConfig
-from wptsim.harness import advance_queues
 from wptsim.policies import (
     POLICIES,
     POLICY_KINDS,
@@ -18,8 +17,9 @@ from wptsim.policies import (
     core_step,
     default_v,
     gap_bound_const,
-    queue_chunk,
     resolve_params,
+    _core_optimal_energy,
+    _core_optimal_power,
 )
 from wptsim.threshold import ThresholdValue
 from oracles import jacobi_spectrum, naive_combine, naive_gram
@@ -43,7 +43,7 @@ def chunk(*ws):
 
 
 class TestOptimalEnergy:
-    STEP = staticmethod(POLICIES["optimal-energy"].step)
+    STEP = staticmethod(_core_optimal_energy)
     PARAMS = PolicyParams(p_peak=5.0, p_targets=(0.01,))
 
     def test_transmits_above_threshold(self):
@@ -80,7 +80,7 @@ class TestOptimalEnergy:
 
 
 class TestOptimalPower:
-    STEP = staticmethod(POLICIES["optimal-power"].step)
+    STEP = staticmethod(_core_optimal_power)
     WS = grams_of([[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])  # diag(1,0,0), diag(0,2,0)
 
     def test_beams_on_summed_gram(self):
@@ -96,16 +96,11 @@ class TestOptimalPower:
 
 
 def advance(kind, q, params, ws, efficiency=1.0):
-    """One slot: (power, received, deficits, next queues). A kind with a
-    chunk kernel steps a one-slot chunk."""
-    q = np.asarray(q, dtype=np.float64)
-    if POLICIES[kind].chunk is not None:
-        qs, ds, on = queue_chunk(kind, q, params, ws[None], efficiency)
-        power, recv = (params.p_peak, on[0]) if on else (0.0, np.zeros(ws.shape[0]))
-        return power, recv, ds[0], qs[1]
-    power, recv, d = core_step(kind, q, params, ws, efficiency)
-    q_next, _, _ = advance_queues(q, float((q**2).sum()), d)
-    return power, recv, d, q_next
+    """One slot, stepped as a one-slot chunk: (power, received, deficits,
+    next queues)."""
+    qs, ds, on = core_step(kind, np.asarray(q, dtype=np.float64), params, ws[None], efficiency)
+    power, recv = (params.p_peak, on[0]) if on else (0.0, np.zeros(ws.shape[0]))
+    return power, recv, ds[0], qs[1]
 
 
 def initial_queues(kind, k):

@@ -4,9 +4,11 @@ chunked slot loop and the config parser.
 * The Hermiticity gate of max_eigpair, the one entry point whose matrices
   come from callers, accepts a matrix whose max|W - W^H| sits just below
   HERMITIAN_ATOL and rejects one just above it.
-* For any nonnegative queues and any deficits, the queue update keeps the
-  queues nonnegative and the quadratic drift inequality holds to within
-  DRIFT_SLACK, for raw deficits and for the deficits the policies produce.
+* Over any chain of slots from nonnegative queues, q <- max(q + d, 0)
+  keeps the queues nonnegative, chunk_drift_slack gives each slot the slack
+  of the per-slot formula bit for bit, and the quadratic drift inequality
+  holds to within DRIFT_SLACK, for raw deficits and for the deficits the
+  policies produce.
 * On random small scenarios, every policy kind's run summary is the same
   bit for bit whatever the slot chunk size.
 * The parser turns any mapping, with any keys and values of any type in
@@ -27,10 +29,10 @@ from hypothesis import strategies as st
 from wptsim import harness
 from wptsim.channel import KAPPA_LOS_LIMIT, ScenarioConfig
 from wptsim.config import ConfigError, Experiment, experiment_from_mapping, experiment_to_mapping, preset_names
-from wptsim.harness import DRIFT_SLACK, SweepSpec, advance_queues, chunk_drift_slack, run
+from wptsim.harness import DRIFT_SLACK, SweepSpec, chunk_drift_slack, run
 from wptsim.linalg import HERMITIAN_ATOL, max_eigpair
-from wptsim.policies import POLICIES, POLICY_KINDS, QUEUE_DRIVEN_KINDS, PolicyParams, core_step, queue_chunk
-from oracles import random_hermitian
+from wptsim.policies import POLICIES, POLICY_KINDS, QUEUE_DRIVEN_KINDS, PolicyParams, core_step
+from oracles import drift_slack, random_hermitian
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -71,22 +73,29 @@ def test_hermitian_gate_rejects_just_above_tolerance(w):
 
 
 @st.composite
-def queues_and_deficits(draw):
-    n = draw(st.integers(min_value=1, max_value=5))
+def queue_chains(draw):
+    """Nonnegative starting queues and the deficits of 1 to 10 slots."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    t = draw(st.integers(min_value=1, max_value=10))
     q = draw(st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=n, max_size=n))
-    d = draw(st.lists(st.floats(min_value=-20.0, max_value=20.0), min_size=n, max_size=n))
-    return np.array(q), np.array(d)
+    d = draw(st.lists(st.floats(min_value=-20.0, max_value=20.0), min_size=t * n, max_size=t * n))
+    return np.array(q), np.array(d).reshape(t, n)
 
 
 @settings(max_examples=300, deadline=None)
-@given(queues_and_deficits())
-def test_queue_update_is_nonnegative_and_keeps_the_drift_bound(case):
-    q, d = case
-    q_new, q_new_sq, slack = advance_queues(q, (q**2).sum(), d)
-    assert np.array_equal(q_new, np.maximum(q + d, 0.0))
-    assert np.all(q_new >= 0.0)
-    assert q_new_sq == (q_new**2).sum()
-    assert slack <= DRIFT_SLACK
+@given(queue_chains())
+def test_queue_update_is_nonnegative_and_keeps_the_drift_bound(chain):
+    q, ds = chain
+    qs = [q]
+    for d in ds:
+        qs.append(np.maximum(qs[-1] + d, 0.0))
+    qs = np.array(qs)
+    assert np.all(qs >= 0.0)
+    per_slot = [drift_slack(qs[t], qs[t + 1], ds[t]) for t in range(len(ds))]
+    for t, slack in enumerate(per_slot):
+        assert chunk_drift_slack(qs[t : t + 2], ds[t : t + 1]) == slack
+    assert chunk_drift_slack(qs, ds) == max(per_slot)
+    assert max(per_slot) <= DRIFT_SLACK
 
 
 @settings(max_examples=60, deadline=None)
@@ -96,22 +105,15 @@ def test_policy_deficits_keep_the_drift_bound(kind, seed):
     params = PolicyParams(p_peak=10.0, v=float(rng.uniform(0.01, 50.0)), p_avg=5.0,
                           p_targets=(0.01, 0.02), p_min=0.005)
     q = rng.uniform(0.0, 50.0, size=sum(POLICIES[kind].queues(2)))
-    q_sq = (q**2).sum()
     ws_block = []
     for _ in range(20):
         h = rng.standard_normal((2, 4, 8)) + 1j * rng.standard_normal((2, 4, 8))
         ws = 1e-3 * np.einsum("kmn,kmp->knp", h.conj(), h)
         ws_block.append(0.5 * (ws + np.conj(np.swapaxes(ws, 1, 2))))
-    if POLICIES[kind].chunk is not None:
-        qs, ds, _ = queue_chunk(kind, q, params, np.stack(ws_block), 1.0)
-        assert np.all(qs >= 0.0)
-        assert chunk_drift_slack(qs, ds) <= DRIFT_SLACK
-        return
-    for ws in ws_block:
-        _, _, d = core_step(kind, q, params, ws, 1.0)
-        q, q_sq, slack = advance_queues(q, q_sq, d)
-        assert np.all(q >= 0.0)
-        assert slack <= DRIFT_SLACK
+    qs, ds, _ = core_step(kind, q, params, np.stack(ws_block), 1.0)
+    assert np.array_equal(qs[1:], np.maximum(qs[:-1] + ds, 0.0))
+    assert np.all(qs >= 0.0)
+    assert chunk_drift_slack(qs, ds) <= DRIFT_SLACK
 
 
 # ---------------------------------------------------------------------------
