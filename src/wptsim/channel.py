@@ -136,6 +136,8 @@ class ScenarioConfig:
             raise ValueError(f"efficiency must lie in [0, 1], got {self.efficiency}")
         if self.slots < 1:
             raise ValueError(f"slots must be >= 1, got {self.slots}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.los_mode not in ("ones", "steering"):
             raise ValueError(f"los_mode must be 'ones' or 'steering', got {self.los_mode!r}")
 

@@ -5,9 +5,11 @@ weighted combinations used by the queue-driven policies are indefinite, so the
 dominant eigenpair is always the algebraically largest one, obtained from a
 full Hermitian eigendecomposition rather than power iteration.
 
-A solved pair passes one residual gate: per matrix in top_eigpair, per
-stack in check_stack. Only max_eigpair, whose matrix comes from a caller,
-checks Hermiticity; the matrices the policies build leave hermitian_part
+Every decomposition goes through _eigh, which calls the LAPACK gufunc that
+np.linalg.eigh runs, without that function's per-call wrapper. A solved
+pair passes one residual gate: per matrix in top_eigpair, per stack in
+check_stack. Only max_eigpair, whose matrix comes from a caller, checks
+Hermiticity; the matrices the policies build leave hermitian_part
 Hermitian bit for bit.
 """
 
@@ -17,6 +19,7 @@ import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 # Hermiticity is enforced to this absolute tolerance on max|W - W^H|.
 HERMITIAN_ATOL = 1e-10
@@ -103,11 +106,19 @@ def _check_hermitian(w: np.ndarray) -> None:
         )
 
 
+# the gufunc np.linalg.eigh(w) runs with its default UPLO='L'
+_eigh_lo = _umath_linalg.eigh_lo
+
+
 def _eigh(w: np.ndarray) -> tuple:
-    try:
-        return np.linalg.eigh(w)
-    except np.linalg.LinAlgError as err:
-        raise ArithmeticError(f"Hermitian eigendecomposition did not converge: {err}") from err
+    """np.linalg.eigh(w) of a complex128 stack w (..., N, N), bit for bit,
+    without its per-call checks and errstate. The gufunc reports a solve that
+    did not converge as NaN eigenvalues (with numpy's invalid-value warning
+    unless the caller ignores it), raised here as an ArithmeticError."""
+    vals, vecs = _eigh_lo(w)
+    if math.isnan(vals[-1]) if vals.ndim == 1 else np.isnan(vals[..., -1]).any():
+        raise ArithmeticError("Hermitian eigendecomposition did not converge")
+    return vals, vecs
 
 
 def _residual_error(residual: float, lam: float) -> ArithmeticError:

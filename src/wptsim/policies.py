@@ -30,8 +30,9 @@ returns the per-queue deficits so a drift bound can be checked externally.
 The threshold kinds carry no state, so their kernel decides a whole chunk
 of slots from one stacked eigensolve. The queue-driven kinds depend on the
 queues, so their step advances a whole chunk one slot at a time on a flat
-queue vector: the mdpp kinds through max_eigpair, mmf and qpf with the
-checks of every slot's eigenpair batched to the end of the chunk.
+queue vector: mdpp-power through max_eigpair; mdpp-energy, mmf and qpf
+through one block kernel, _queue_chunk, with the checks of every slot's
+eigenpair batched to the end of the chunk.
 
 Each kind's step, needed parameters, queue sizes, combine rule and optimal
 reference live in its PolicySpec entry of POLICIES; the calibrated default V
@@ -131,8 +132,7 @@ def _core_optimal_power(params, threshold, ws_block, efficiency):
 
 
 # ---------------------------------------------------------------------------
-# mdpp policies: one slot per _core_mdpp_* call on the queue vector q,
-# constraint queues (z) first, then auxiliary queues (g)
+# mdpp-power: one slot per _core_mdpp_power call on the queue vector q
 
 
 def _beam(weights, shift, p_peak, ws, efficiency) -> tuple:
@@ -144,18 +144,13 @@ def _beam(weights, shift, p_peak, ws, efficiency) -> tuple:
     return 0.0, np.zeros(ws.shape[0])
 
 
-def _core_mdpp_energy(q, params, ws, efficiency):
-    power, recv = _beam(q, params.v, params.p_peak, ws, efficiency)
-    return power, recv, np.asarray(params.p_targets) - recv
-
-
 def _core_mdpp_power(q, params, ws, efficiency):
     power, recv = _beam(np.full(ws.shape[0], params.v), q[0], params.p_peak, ws, efficiency)
     return power, recv, np.array([power - params.p_avg])
 
 
 def _mdpp_chunk(core, q, params, ws_block, efficiency) -> tuple:
-    """Step an mdpp policy through a chunk ws_block (T, K, N, N) from the
+    """Step a policy through a chunk ws_block (T, K, N, N) from the
     queue vector q, one core(q, params, ws, efficiency) -> (power, received,
     deficits) call per slot and q <- max(q + d, 0) after it. Returns
     (qs, ds, received) as PolicySpec.step says."""
@@ -170,18 +165,27 @@ def _mdpp_chunk(core, q, params, ws_block, efficiency) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# fairness policies: one chunk of slots per call. Their weights follow the
-# queues, so the slots are still stepped one by one, but only the work that
-# depends on the queues stays in the loop: the scalar queue arithmetic in
-# Python floats (the same IEEE operations as the per-slot step), one combine,
-# one eigh and, on a transmitting slot, the beam. The residual check of
-# every slot's top pair runs once per chunk on stacked buffers.
+# mdpp-energy and the fairness policies: one chunk of slots per call on the
+# queue vector q, constraint queues (z) first, then auxiliary queues (g).
+# Their weights follow the queues, so the slots are still stepped one by
+# one, but only the work that depends on the queues stays in the loop: the
+# scalar queue arithmetic in Python floats (the same IEEE operations as the
+# per-slot step), one combine, one eigh and, on a transmitting slot, the
+# beam. The residual check of every slot's top pair runs once per chunk on
+# stacked buffers.
 
 
 def _sum(xs) -> float:
     """float(np.sum(xs)), bit for bit: numpy adds fewer than 8 floats one
     by one, as sum() does, and pairwise from 8 on."""
     return sum(xs) if len(xs) < 8 else float(np.sum(xs))
+
+
+def _mdpp_energy_slot(q, beam, params):
+    """One mdpp-energy slot on q = [z_1..z_K]: the deficits, with the beam
+    taken through beam(weights, shift) -> (power, received)."""
+    power, recv = beam(q, params.v)
+    return [t - r for t, r in zip(params.p_targets, recv)]
 
 
 def _mmf_slot(q, beam, params):
@@ -203,9 +207,9 @@ def _qpf_slot(q, beam, params):
     return [*[params.p_min - r for r in recv], power - params.p_avg, *[c - r for c, r in zip(gamma, recv)]]
 
 
-def _fairness_chunk(slot, q, params, ws_block, efficiency) -> tuple:
-    """Step a fairness policy through a chunk ws_block (T, K, N, N) from the
-    queue vector q.
+def _queue_chunk(slot, q, params, ws_block, efficiency) -> tuple:
+    """Step a queue-driven policy through a chunk ws_block (T, K, N, N) from
+    the queue vector q, one slot(q, beam, params) -> deficits call per slot.
 
     Returns (qs, ds, received) as PolicySpec.step says. Every slot's
     decision, beam and queues are those of max_eigpair(weighted_combine(
@@ -251,10 +255,13 @@ def _fairness_chunk(slot, q, params, ws_block, efficiency) -> tuple:
     qs = [q.tolist()]
     ds = []
     try:
-        for t in range(t_slots):
-            d = slot(qs[t], beam, params)
-            ds.append(d)
-            qs.append([max(a + b, 0.0) for a, b in zip(qs[t], d)])
+        # a solve that does not converge raises in _eigh, with no
+        # invalid-value warning from its NaN eigenvalues first
+        with np.errstate(invalid="ignore"):
+            for t in range(t_slots):
+                d = slot(qs[t], beam, params)
+                ds.append(d)
+                qs.append([max(a + b, 0.0) for a, b in zip(qs[t], d)])
     except (ValueError, ArithmeticError):
         check_stack(mats[:t], lams[:t], tops[:t])
         raise
@@ -282,7 +289,9 @@ class PolicySpec:
     step(q, params, ws_block, efficiency) returns (qs, ds, received), the
     queues before each slot and after the last (T + 1, n), each slot's
     deficits (T, n) with qs[t + 1] = max(qs[t] + ds[t], 0), and the
-    received powers of the transmitting slots in slot order.
+    received powers of the transmitting slots in slot order. mdpp-energy,
+    mmf and qpf step on _queue_chunk with their slot function; mdpp-power
+    steps on _mdpp_chunk, one max_eigpair per slot.
     """
 
     needs: tuple
@@ -300,15 +309,15 @@ POLICIES = {
         ("v", "p_targets"),
         lambda k: (k, 0),
         ("optimal-energy", "avg_transmit_power"),
-        step=partial(_mdpp_chunk, _core_mdpp_energy),
+        step=partial(_queue_chunk, _mdpp_energy_slot),
     ),
     "optimal-power": PolicySpec(("p_avg",), combine_rule="sum"),
     "mdpp-power": PolicySpec(
         ("v", "p_avg"), lambda k: (1, 0), _POWER_REFERENCE, step=partial(_mdpp_chunk, _core_mdpp_power)
     ),
-    "mmf": PolicySpec(("v", "p_avg"), lambda k: (1, k), _POWER_REFERENCE, step=partial(_fairness_chunk, _mmf_slot)),
+    "mmf": PolicySpec(("v", "p_avg"), lambda k: (1, k), _POWER_REFERENCE, step=partial(_queue_chunk, _mmf_slot)),
     "qpf": PolicySpec(
-        ("v", "p_avg", "p_min"), lambda k: (k + 1, k), _POWER_REFERENCE, step=partial(_fairness_chunk, _qpf_slot)
+        ("v", "p_avg", "p_min"), lambda k: (k + 1, k), _POWER_REFERENCE, step=partial(_queue_chunk, _qpf_slot)
     ),
 }
 POLICY_KINDS = tuple(POLICIES)

@@ -66,6 +66,13 @@ class TestScenarioValidation:
         assert make_cfg(rician_kappa=math.inf).rician_kappa == math.inf
         assert type(make_cfg(rician_kappa=3).rician_kappa) is int
 
+    def test_negative_seed_is_named(self):
+        # numpy's SeedSequence takes no negative entropy, so the run used to
+        # fail late with an error that named no field
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            make_cfg(seed=-1)
+        assert make_cfg(seed=0).seed == 0
+
     def test_zero_reference_gain_allowed(self):
         assert make_cfg(reference_gain=0.0).gains()[0] == 0.0
 

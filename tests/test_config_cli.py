@@ -345,6 +345,15 @@ class TestCli:
         assert [r["policy"] for r in rows] == ["mdpp-power", "optimal-power"]
         assert rows[1]["threshold"] != ""
 
+    def test_negative_seed_fails_before_any_row_is_written(self, tmp_path, capsys):
+        # a sweep from seed -1 once wrote an error row for seed -1 next to
+        # valid rows for seeds 0, 1, ... and exited 0
+        out = tmp_path / "s.jsonl"
+        argv = ["sweep", "--preset", "fig6", "--seed", "-1", "--slots", "10", "--out", str(out)]
+        assert main(argv) == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_requires_sweep_section(self, tmp_path, capsys):
         config = write_config(tmp_path, MINIMAL)
         assert main(["sweep", "--config", config, "--out", str(tmp_path / "s.csv")]) == 1

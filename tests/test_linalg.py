@@ -1,8 +1,9 @@
-"""Kernel tests: grams, weighted_combine, max_eigpair, quad_form.
+"""Kernel tests: grams, weighted_combine, _eigh, max_eigpair, quad_form.
 
 Derived values are checked against the independent oracles in oracles.py
 (naive index-loop arithmetic, hand-written Jacobi spectrum), never against
-the library's own code paths.
+the library's own code paths. _eigh is pinned bit for bit to
+np.linalg.eigh, whose LAPACK gufunc it calls.
 """
 
 import re
@@ -12,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wptsim import linalg
 from wptsim.linalg import (
     EigenPair,
+    _eigh,
     check_stack,
     grams,
     hermitian_part,
@@ -147,6 +150,53 @@ class TestWeightedCombine:
             weighted_combine([], [])
         with pytest.raises(ValueError):
             weighted_combine([1.0, 2.0], [np.eye(2, dtype=complex)])
+
+
+def not_converging(w):
+    """The gufunc's output for a solve that does not converge: NaN throughout."""
+    return np.full(w.shape[:-1], np.nan), np.full(w.shape, np.nan, dtype=complex)
+
+
+class TestEigh:
+    """np.linalg.eigh without its wrapper: the same arrays bit for bit, and a
+    solve that does not converge is a named ArithmeticError."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("stack", [None, 1, 7, 512], ids=["single", "T1", "T7", "T512"])
+    def test_matches_numpy_bit_for_bit(self, n, stack):
+        rng = np.random.default_rng(n)
+        shape = (n, n) if stack is None else (stack, 2, n, n)
+        w = hermitian_part(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        # hermitian_part's transposed layout, and for a stack the strided
+        # view of one receiver's Grams that the threshold kernel solves
+        for m in (w,) if stack is None else (w[:, 0], np.ascontiguousarray(w[:, 1])):
+            vals, vecs = _eigh(m)
+            want_vals, want_vecs = np.linalg.eigh(m)
+            assert vals.dtype == want_vals.dtype and vecs.dtype == want_vecs.dtype
+            assert np.array_equal(vals, want_vals) and np.array_equal(vecs, want_vecs)
+
+    def test_a_solve_that_does_not_converge_is_named(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_eigh_lo", not_converging)
+        for solve in (_eigh, max_eigpair):
+            with pytest.raises(ArithmeticError, match="^Hermitian eigendecomposition did not converge$"):
+                solve(np.eye(3, dtype=complex))
+
+    def test_one_failed_matrix_of_a_stack_is_named(self, monkeypatch):
+        solve = linalg._eigh_lo
+
+        def fourth_fails(w):
+            vals, vecs = solve(w)
+            vals[3], vecs[3] = not_converging(w[3])
+            return vals, vecs
+
+        monkeypatch.setattr(linalg, "_eigh_lo", fourth_fails)
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            _eigh(np.stack([np.eye(3, dtype=complex)] * 7))
+
+    def test_a_nan_matrix_is_named(self):
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            with pytest.raises(ArithmeticError, match="did not converge"):
+                _eigh(np.full((3, 3), np.nan, dtype=complex))
 
 
 class TestMaxEigpair:

@@ -1,4 +1,4 @@
-"""The fairness policies' chunk kernel (mmf and qpf) against the readable
+"""The queue chunk kernel (mdpp-energy, mmf and qpf) against the readable
 per-slot simulation, and its batched checks.
 
 The kernel steps a whole chunk per call and checks the residual of every
@@ -10,6 +10,7 @@ the slot-by-slot checks raise.
 """
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,11 +21,29 @@ from wptsim import harness, linalg, policies
 from wptsim.channel import KAPPA_LOS_LIMIT, ScenarioConfig
 from wptsim.policies import PolicyParams, core_step
 from oracles import run_per_slot
+from test_linalg import not_converging
 
-FAIRNESS_KINDS = ("mmf", "qpf")
+QUEUE_CHUNK_KINDS = ("mdpp-energy", "mmf", "qpf")
 POSITIONS = ((0.3, 0.3), (0.0, 0.5), (-0.4, 0.2))
 THREE_RX = ScenarioConfig(n_tx=8, n_rx=4, positions=POSITIONS, slots=1100, seed=11, los_mode="steering")
-PARAMS = PolicyParams(p_peak=10.0, p_avg=5.0, p_min=0.005)
+PARAMS = PolicyParams(p_peak=10.0, p_avg=5.0, p_targets=(0.05, 0.03, 0.04), p_min=0.005)
+# V of the gate runs: mdpp-energy's queues grow by the targets each slot,
+# so a small V lets it transmit within a 64-slot block
+GATE_V = {"mdpp-energy": 0.01, "mmf": 2.0, "qpf": 2.0}
+
+
+def test_the_kinds_are_those_the_kernel_steps():
+    stepped = {
+        kind
+        for kind, spec in policies.POLICIES.items()
+        if isinstance(spec.step, partial) and spec.step.func is policies._queue_chunk
+    }
+    assert stepped == set(QUEUE_CHUNK_KINDS)
+
+
+def params_for(k, v):
+    """PARAMS for k receivers at control parameter v."""
+    return replace(PARAMS, v=v, p_targets=PARAMS.p_targets[:k])
 
 
 def rows(cfg, params, kind):
@@ -32,7 +51,7 @@ def rows(cfg, params, kind):
     return harness.run(cfg, params, kind).to_row(), run_per_slot(cfg, params, kind)
 
 
-@pytest.mark.parametrize("kind", FAIRNESS_KINDS)
+@pytest.mark.parametrize("kind", QUEUE_CHUNK_KINDS)
 @pytest.mark.parametrize(
     "case",
     [
@@ -44,12 +63,12 @@ def rows(cfg, params, kind):
 )
 def test_three_receivers_match_the_oracle(kind, case):
     cfg, v = case
-    got, want = rows(cfg, replace(PARAMS, v=v), kind)
+    got, want = rows(cfg, params_for(3, v), kind)
     assert got == want
 
 
 @st.composite
-def fairness_cases(draw):
+def queue_cases(draw):
     k = draw(st.integers(1, 3))
     n_rx = draw(st.integers(1, 4))
     cfg = ScenarioConfig(
@@ -62,11 +81,11 @@ def fairness_cases(draw):
         seed=draw(st.integers(0, 2**32 - 1)),
     )
     v = draw(st.none() | st.floats(0.01, 1000.0))
-    return cfg, replace(PARAMS, v=v), draw(st.sampled_from(FAIRNESS_KINDS))
+    return cfg, params_for(k, v), draw(st.sampled_from(QUEUE_CHUNK_KINDS))
 
 
 @settings(max_examples=40, deadline=None)
-@given(fairness_cases())
+@given(queue_cases())
 def test_random_scenarios_match_the_oracle(case):
     got, want = rows(*case)
     assert got == want
@@ -76,7 +95,7 @@ def test_integer_p_peak_runs_as_its_float():
     # qpf's targets min(V / G_i, p_peak) once landed in an integer array
     # when p_peak was an int, which truncated them
     cfg = replace(THREE_RX, slots=2000)
-    for kind in FAIRNESS_KINDS:
+    for kind in QUEUE_CHUNK_KINDS:
         want = harness.run(cfg, PARAMS, kind).to_row()
         assert harness.run(cfg, replace(PARAMS, p_peak=10), kind).to_row() == want
 
@@ -85,12 +104,16 @@ def test_integer_p_peak_runs_as_its_float():
 # the batched checks
 
 
+def gate_params(kind):
+    return replace(PARAMS, v=GATE_V[kind])
+
+
 def chunk_inputs(kind):
-    """Empty queues, V = 2 and a 64-slot block of three-receiver Grams."""
+    """Empty queues, the gate V and a 64-slot block of three-receiver Grams."""
     cfg = replace(THREE_RX, slots=64, seed=3)
     ws_block = linalg.grams(harness.sample_slot_block(cfg, harness.evaluation_rng(cfg), cfg.slots))
     q = np.zeros(sum(policies.POLICIES[kind].queues(3)))
-    return q, replace(PARAMS, v=2.0), ws_block
+    return q, gate_params(kind), ws_block
 
 
 class Solver:
@@ -110,14 +133,14 @@ class Solver:
         return vals, vecs
 
 
-@pytest.mark.parametrize("kind", FAIRNESS_KINDS)
+@pytest.mark.parametrize("kind", QUEUE_CHUNK_KINDS)
 def test_a_wrong_top_vector_fails_the_residual_check(kind, monkeypatch):
     monkeypatch.setattr(policies, "_eigh", Solver(wrong_from=40))
     with pytest.raises(ArithmeticError, match="residual"):
-        harness.run(replace(THREE_RX, slots=300), replace(PARAMS, v=2.0), kind)
+        harness.run(replace(THREE_RX, slots=300), gate_params(kind), kind)
 
 
-@pytest.mark.parametrize("kind", FAIRNESS_KINDS)
+@pytest.mark.parametrize("kind", QUEUE_CHUNK_KINDS)
 def test_a_nan_queue_fails_the_finite_check(kind):
     q, params, ws_block = chunk_inputs(kind)
     q[0] = np.nan
@@ -129,7 +152,7 @@ def no_convergence(w):
     raise ArithmeticError("Hermitian eigendecomposition did not converge")
 
 
-@pytest.mark.parametrize("kind", FAIRNESS_KINDS)
+@pytest.mark.parametrize("kind", QUEUE_CHUNK_KINDS)
 @pytest.mark.parametrize(
     "solver, error",
     [(linalg._eigh, "eigenpair residual"), (no_convergence, "did not converge")],
@@ -147,10 +170,28 @@ def test_a_matrix_corrupted_after_hermitian_part_still_fails_the_run(kind, solve
     monkeypatch.setattr(policies, "hermitian_part", skewed)
     monkeypatch.setattr(policies, "_eigh", solver)
     with pytest.raises(ArithmeticError, match=error):
-        harness.run(replace(THREE_RX, slots=300), replace(PARAMS, v=2.0), kind)
+        harness.run(replace(THREE_RX, slots=300), gate_params(kind), kind)
 
 
-@pytest.mark.parametrize("kind", FAIRNESS_KINDS)
+@pytest.mark.parametrize("kind", QUEUE_CHUNK_KINDS)
+def test_a_solve_that_does_not_converge_fails_the_run(kind, monkeypatch):
+    monkeypatch.setattr(linalg, "_eigh_lo", not_converging)
+    with pytest.raises(ArithmeticError, match="^Hermitian eigendecomposition did not converge$"):
+        harness.run(replace(THREE_RX, slots=300), gate_params(kind), kind)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", QUEUE_CHUNK_KINDS)
+def test_a_nan_solve_fails_the_chunk_without_a_warning(kind):
+    # one errstate per chunk keeps the solver's invalid-value warning quiet;
+    # its NaN eigenvalues are the named error
+    q, params, ws_block = chunk_inputs(kind)
+    ws_block[5] = np.nan
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        core_step(kind, q, params, ws_block, 1.0)
+
+
+@pytest.mark.parametrize("kind", QUEUE_CHUNK_KINDS)
 @pytest.mark.parametrize("wrong_from, error", [(None, ValueError), (10, ArithmeticError)])
 def test_the_first_failing_slot_decides_the_error(kind, wrong_from, error, monkeypatch):
     # from slot 20 on the received powers are NaN, so a later slot's weights
