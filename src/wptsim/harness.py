@@ -32,6 +32,7 @@ from wptsim.channel import (
     ScenarioConfig,
     _CHUNK,
     _as_int,
+    _as_real,
     empirical_gain_spectrum,
     evaluation_rng,
     sample_slot_block,
@@ -125,6 +126,9 @@ class SweepSpec:
             )
         if not isinstance(self.values, (list, tuple)) or len(self.values) == 0:
             raise ValueError(f"values must be a list of at least one value, got {self.values!r}")
+        check = _as_int if self.parameter == "n_tx" else _as_real
+        for i, value in enumerate(self.values):
+            check(f"values[{i}] of {self.parameter}", value)
         object.__setattr__(self, "values", tuple(self.values))
         object.__setattr__(self, "repetitions", _as_int("repetitions", self.repetitions))
         if self.repetitions < 1:

@@ -5,12 +5,13 @@ weighted combinations used by the queue-driven policies are indefinite, so the
 dominant eigenpair is always the algebraically largest one, obtained from a
 full Hermitian eigendecomposition rather than power iteration.
 
-Every decomposition goes through _eigh, which calls the LAPACK gufunc that
-np.linalg.eigh runs, without that function's per-call wrapper. A solved
-pair passes one residual gate: per matrix in top_eigpair, per stack in
-check_stack. Only max_eigpair, whose matrix comes from a caller, checks
-Hermiticity; the matrices the policies build leave hermitian_part
-Hermitian bit for bit.
+Every eigenpair solve goes through _eigh, which calls the LAPACK gufunc
+that np.linalg.eigh runs, without that function's per-call wrapper. The
+warm-up spectrum (channel.empirical_gain_spectrum) needs eigenvalues only
+and takes them from np.linalg.eigvalsh. A solved pair passes one residual
+gate: per matrix in top_eigpair, per stack in check_stack. Only
+max_eigpair, whose matrix comes from a caller, checks Hermiticity; the
+matrices the policies build leave hermitian_part Hermitian bit for bit.
 """
 
 from __future__ import annotations

@@ -29,35 +29,27 @@ returns the per-queue deficits so a drift bound can be checked externally.
 
 The threshold kinds carry no state, so their kernel decides a whole chunk
 of slots from one stacked eigensolve. The queue-driven kinds depend on the
-queues, so their step advances a whole chunk one slot at a time on a flat
-queue vector: mdpp-power through max_eigpair; mdpp-energy, mmf and qpf
-through one block kernel, _queue_chunk, with the checks of every slot's
-eigenpair batched to the end of the chunk.
+queues, so one block kernel, _queue_chunk, advances a whole chunk one slot
+at a time on a flat queue vector, with the checks of every slot's eigenpair
+batched to the end of the chunk. The kinds differ only in their slot
+function: the weights and shift it hands to the beam, and the deficits it
+returns.
 
-Each kind's step, needed parameters, queue sizes, combine rule and optimal
-reference live in its PolicySpec entry of POLICIES; the calibrated default V
-formulas live in default_v.
+Each kind's slot function, needed parameters, queue sizes, combine rule and
+optimal reference live in its PolicySpec entry of POLICIES; the calibrated
+default V formulas live in default_v.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from wptsim.channel import ScenarioConfig, _as_real
-from wptsim.linalg import (
-    _eigh,
-    check_stack,
-    hermitian_part,
-    max_eigpair,
-    top_eigpair,
-    top_vector,
-    weighted_combine,
-)
+from wptsim.linalg import _eigh, check_stack, hermitian_part, top_eigpair, top_vector
 
 
 @dataclass
@@ -132,53 +124,28 @@ def _core_optimal_power(params, threshold, ws_block, efficiency):
 
 
 # ---------------------------------------------------------------------------
-# mdpp-power: one slot per _core_mdpp_power call on the queue vector q
-
-
-def _beam(weights, shift, p_peak, ws, efficiency) -> tuple:
-    """(power, received): peak power along the top eigenvector of
-    sum_i weights[i] W_i - shift I if its eigenvalue is positive, else silence."""
-    pair = max_eigpair(weighted_combine(weights, ws, shift))
-    if pair.value > 0.0:
-        return p_peak, _received(ws, np.sqrt(p_peak) * pair.vector, efficiency)
-    return 0.0, np.zeros(ws.shape[0])
-
-
-def _core_mdpp_power(q, params, ws, efficiency):
-    power, recv = _beam(np.full(ws.shape[0], params.v), q[0], params.p_peak, ws, efficiency)
-    return power, recv, np.array([power - params.p_avg])
-
-
-def _mdpp_chunk(core, q, params, ws_block, efficiency) -> tuple:
-    """Step a policy through a chunk ws_block (T, K, N, N) from the
-    queue vector q, one core(q, params, ws, efficiency) -> (power, received,
-    deficits) call per slot and q <- max(q + d, 0) after it. Returns
-    (qs, ds, received) as PolicySpec.step says."""
-    qs, ds, received = [q], [], []
-    for ws in ws_block:
-        power, recv, d = core(qs[-1], params, ws, efficiency)
-        qs.append(np.maximum(qs[-1] + d, 0.0))
-        ds.append(d)
-        if power:
-            received.append(recv)
-    return np.array(qs), np.array(ds), received
-
-
-# ---------------------------------------------------------------------------
-# mdpp-energy and the fairness policies: one chunk of slots per call on the
-# queue vector q, constraint queues (z) first, then auxiliary queues (g).
-# Their weights follow the queues, so the slots are still stepped one by
+# the queue-driven policies: one chunk of slots per call on the queue
+# vector q, constraint queues (z) first, then auxiliary queues (g). Their
+# weights or shift follow the queues, so the slots are still stepped one by
 # one, but only the work that depends on the queues stays in the loop: the
-# scalar queue arithmetic in Python floats (the same IEEE operations as the
-# per-slot step), one combine, one eigh and, on a transmitting slot, the
-# beam. The residual check of every slot's top pair runs once per chunk on
-# stacked buffers.
+# scalar queue arithmetic in Python floats (the same IEEE operations as
+# numpy's on the queue vector), one combine, one eigh and, on a
+# transmitting slot, the beam. The residual check of every slot's top pair
+# runs once per chunk on stacked buffers.
 
 
 def _sum(xs) -> float:
     """float(np.sum(xs)), bit for bit: numpy adds fewer than 8 floats one
     by one, as sum() does, and pairwise from 8 on."""
     return sum(xs) if len(xs) < 8 else float(np.sum(xs))
+
+
+def _mdpp_power_slot(q, beam, params):
+    """One mdpp-power slot on q = [z]: the budget deficit, with the beam
+    taken through beam(weights, shift) -> (power, received) at weight V for
+    every receiver."""
+    power, _ = beam((params.v,), q[0])
+    return [power - params.p_avg]
 
 
 def _mdpp_energy_slot(q, beam, params):
@@ -211,15 +178,15 @@ def _queue_chunk(slot, q, params, ws_block, efficiency) -> tuple:
     """Step a queue-driven policy through a chunk ws_block (T, K, N, N) from
     the queue vector q, one slot(q, beam, params) -> deficits call per slot.
 
-    Returns (qs, ds, received) as PolicySpec.step says. Every slot's
-    decision, beam and queues are those of max_eigpair(weighted_combine(
-    weights, ws, shift)) and q <- max(q + d, 0), bit for bit. Finite weights
-    and convergence are checked as each slot is solved, and the top-pair
-    residual of every slot at the end of the chunk, or before the first
-    inline failure is raised, so the run fails with the error the
-    slot-by-slot checks would raise first. Each slot's matrix leaves
-    hermitian_part Hermitian bit for bit, so it is not checked for
-    Hermiticity.
+    Returns (qs, ds, received) as core_step says. beam takes K weights, or
+    one weight for every receiver. Every slot's decision, beam and queues
+    are those of max_eigpair(weighted_combine(weights, ws, shift)) and
+    q <- max(q + d, 0), bit for bit. Finite weights and convergence are
+    checked as each slot is solved, and the top-pair residual of every slot
+    at the end of the chunk, or before the first inline failure is raised,
+    so the run fails with the error the slot-by-slot checks would raise
+    first. Each slot's matrix leaves hermitian_part Hermitian bit for bit,
+    so it is not checked for Hermiticity.
     """
     t_slots, k, n = ws_block.shape[:3]
     flat = ws_block.reshape(t_slots, k, n * n)
@@ -235,7 +202,8 @@ def _queue_chunk(slot, q, params, ws_block, efficiency) -> tuple:
     def beam(weights, shift):
         if not (math.isfinite(shift) and all(map(math.isfinite, weights))):
             raise ValueError("weights and shift must be finite")
-        # weighted_combine's arithmetic on this slot's Grams
+        # weighted_combine's arithmetic on this slot's Grams; a single
+        # weight fills the row
         row[0] = weights
         m = np.dot(row, flat[t])
         m[0, :: n + 1] -= shift
@@ -283,22 +251,16 @@ class PolicySpec:
     the summary column the gap is read on. combine_rule is a threshold
     kind's empirical_gain_spectrum rule: "single" (W_1, one receiver only)
     or "sum" (sum_i W_i); it also picks the threshold kind's kernel,
-    _core_optimal_energy or _core_optimal_power. step advances a
-    queue-driven kind through a chunk ws_block (T, K, N, N) from the queue
-    vector q (constraint queues z first, then auxiliary queues g):
-    step(q, params, ws_block, efficiency) returns (qs, ds, received), the
-    queues before each slot and after the last (T + 1, n), each slot's
-    deficits (T, n) with qs[t + 1] = max(qs[t] + ds[t], 0), and the
-    received powers of the transmitting slots in slot order. mdpp-energy,
-    mmf and qpf step on _queue_chunk with their slot function; mdpp-power
-    steps on _mdpp_chunk, one max_eigpair per slot.
+    _core_optimal_energy or _core_optimal_power. slot is a queue-driven
+    kind's slot function, slot(q, beam, params) -> deficits, which
+    core_step steps on _queue_chunk.
     """
 
     needs: tuple
     queues: Optional[Callable[[int], tuple]] = None
     compare: Optional[tuple] = None
     combine_rule: Optional[str] = None
-    step: Optional[Callable] = None
+    slot: Optional[Callable] = None
 
 
 _POWER_REFERENCE = ("optimal-power", "total_received")
@@ -306,19 +268,12 @@ _POWER_REFERENCE = ("optimal-power", "total_received")
 POLICIES = {
     "optimal-energy": PolicySpec(("p_targets",), combine_rule="single"),
     "mdpp-energy": PolicySpec(
-        ("v", "p_targets"),
-        lambda k: (k, 0),
-        ("optimal-energy", "avg_transmit_power"),
-        step=partial(_queue_chunk, _mdpp_energy_slot),
+        ("v", "p_targets"), lambda k: (k, 0), ("optimal-energy", "avg_transmit_power"), slot=_mdpp_energy_slot
     ),
     "optimal-power": PolicySpec(("p_avg",), combine_rule="sum"),
-    "mdpp-power": PolicySpec(
-        ("v", "p_avg"), lambda k: (1, 0), _POWER_REFERENCE, step=partial(_mdpp_chunk, _core_mdpp_power)
-    ),
-    "mmf": PolicySpec(("v", "p_avg"), lambda k: (1, k), _POWER_REFERENCE, step=partial(_queue_chunk, _mmf_slot)),
-    "qpf": PolicySpec(
-        ("v", "p_avg", "p_min"), lambda k: (k + 1, k), _POWER_REFERENCE, step=partial(_queue_chunk, _qpf_slot)
-    ),
+    "mdpp-power": PolicySpec(("v", "p_avg"), lambda k: (1, 0), _POWER_REFERENCE, slot=_mdpp_power_slot),
+    "mmf": PolicySpec(("v", "p_avg"), lambda k: (1, k), _POWER_REFERENCE, slot=_mmf_slot),
+    "qpf": PolicySpec(("v", "p_avg", "p_min"), lambda k: (k + 1, k), _POWER_REFERENCE, slot=_qpf_slot),
 }
 POLICY_KINDS = tuple(POLICIES)
 QUEUE_DRIVEN_KINDS = tuple(kind for kind, spec in POLICIES.items() if spec.queues is not None)
@@ -338,10 +293,16 @@ def policy_spec(kind: str) -> PolicySpec:
 
 
 def core_step(kind: str, q, params, ws_block, efficiency):
-    """Advance a queue-driven policy over a chunk: (queues before each slot
-    and after the last, deficits, received powers of the transmitting
-    slots), as PolicySpec.step says."""
-    return POLICIES[kind].step(q, params, ws_block, efficiency)
+    """Advance a queue-driven kind through a chunk ws_block (T, K, N, N)
+    from the queue vector q (constraint queues z first, then auxiliary
+    queues g), on _queue_chunk with the kind's slot function.
+
+    Returns (qs, ds, received): the queues before each slot and after the
+    last (T + 1, n), each slot's deficits (T, n) with qs[t + 1] =
+    max(qs[t] + ds[t], 0), and the received powers of the transmitting
+    slots in slot order.
+    """
+    return _queue_chunk(POLICIES[kind].slot, q, params, ws_block, efficiency)
 
 
 def gap_bound_const(kind: str, n_receivers: int, p_peak: float) -> Optional[float]:

@@ -9,8 +9,11 @@ compare reads two such files and prints one verdict:
 
 * bit-identical: every case has the same row, bit for bit;
 * round-off: the same cases, errors and non-float fields, the same
-  duty_cycle (so the same number of transmitting slots), and every float
-  within ROUND_OFF relative; the largest relative difference is shown;
+  duty_cycle (so the same number of transmitting slots), every other float
+  within ROUND_OFF relative, and drift_slack_max, which is round-off by
+  construction, within the run's own bound DRIFT_SLACK on both sides; the
+  largest relative difference and, apart from it, the largest change of
+  drift_slack_max are shown;
 * moved: anything else, with the differing cases named.
 
 The panel covers every preset and every kind (seeds 24-29), V at its
@@ -29,7 +32,7 @@ from dataclasses import replace
 
 from wptsim.channel import ScenarioConfig
 from wptsim.config import load_preset, preset_names
-from wptsim.harness import WARMUP_SAMPLES, run
+from wptsim.harness import DRIFT_SLACK, WARMUP_SAMPLES, run
 from wptsim.policies import POLICY_KINDS, QUEUE_DRIVEN_KINDS, PolicyParams
 
 SLOTS = 3000
@@ -107,20 +110,27 @@ def _float(value):
 
 
 def _relative_difference(a, b):
-    """The largest relative difference between two rows' floats, inf when
-    the rows differ in anything but float round-off or in duty_cycle."""
+    """(the largest relative difference between two rows' floats other than
+    drift_slack_max, the change of drift_slack_max); the first is inf when
+    the rows differ in anything but float round-off, in duty_cycle, or in a
+    drift_slack_max beyond DRIFT_SLACK on either side."""
     if "row" not in a or "row" not in b or a["row"].keys() != b["row"].keys():
-        return math.inf
-    worst = 0.0
+        return math.inf, 0.0
+    worst, slack = 0.0, 0.0
     for key, va in a["row"].items():
         vb = b["row"][key]
         if va == vb:
             continue
         fa, fb = _float(va), _float(vb)
         if key == "duty_cycle" or fa is None or fb is None or not (math.isfinite(fa) and math.isfinite(fb)):
-            return math.inf
-        worst = max(worst, abs(fa - fb) / max(abs(fa), abs(fb)))
-    return worst
+            return math.inf, slack
+        if key == "drift_slack_max":
+            slack = abs(fa - fb)
+            if not max(fa, fb) <= DRIFT_SLACK:
+                return math.inf, slack
+        else:
+            worst = max(worst, abs(fa - fb) / max(abs(fa), abs(fb)))
+    return worst, slack
 
 
 def compare(path_a, path_b):
@@ -131,10 +141,15 @@ def compare(path_a, path_b):
     diffs = {name: _relative_difference(a[name], b[name]) for name in a if a[name] != b[name]}
     if not diffs:
         return f"bit-identical: {len(a)} cases"
-    moved = [name for name, d in diffs.items() if not d <= ROUND_OFF]
+    moved = [name for name, (d, _) in diffs.items() if not d <= ROUND_OFF]
     if moved:
         return f"moved: {len(moved)} of {len(a)} cases: {', '.join(moved)}"
-    return f"round-off: {len(diffs)} of {len(a)} cases differ, max relative difference {max(diffs.values()):.3e}"
+    worst = max(d for d, _ in diffs.values())
+    slack = max(s for _, s in diffs.values())
+    return (
+        f"round-off: {len(diffs)} of {len(a)} cases differ, max relative difference {worst:.3e}, "
+        f"drift_slack_max max change {slack:.3e}"
+    )
 
 
 def main(argv):

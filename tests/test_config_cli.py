@@ -359,6 +359,20 @@ class TestCli:
         assert main(["sweep", "--config", config, "--out", str(tmp_path / "s.csv")]) == 1
         assert "no sweep section" in capsys.readouterr().err
 
+    def test_sweep_value_of_the_wrong_type_fails_the_config(self, tmp_path, capsys):
+        # PyYAML reads 1e-3 (no dot) as the string "1e-3", which once ran
+        # silently as v = 0.001, and a bool as v = 1.0
+        data = {k: dict(v) for k, v in MINIMAL.items()}
+        data["sweep"] = {"parameter": "v", "values": [0.5, True]}
+        with pytest.raises(ConfigError, match=r"^sweep: values\[1\] of v must be a number, got True$"):
+            experiment_from_mapping(data)
+        config = tmp_path / "exp.yaml"
+        config.write_text(yaml.safe_dump(MINIMAL) + "sweep:\n  parameter: v\n  values: [1e-3]\n")
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 1
+        assert "sweep: values[0] of v must be a number, got '1e-3'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_rows_and_reps_override(self, tmp_path):
         data = {k: dict(v) for k, v in MINIMAL.items()}
         data["sweep"] = {"parameter": "n_tx", "values": [4, 6], "repetitions": 3}

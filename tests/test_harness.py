@@ -262,9 +262,6 @@ class TestSweep:
         assert len(rows) == 2
         assert all("error" in r for r in rows)
         assert "two receivers" in rows[0]["error"]
-        # a non-integer antenna count is an error row, not a truncated run
-        rows = sweep(scenario(slots=20), self.PARAMS, SweepSpec("n_tx", (4.5,)), ["mdpp-power"])
-        assert rows[0]["sweep_value"] == 4.5 and "n_tx must be an integer" in rows[0]["error"]
 
     def test_multi_policy_rows_share_seeds(self):
         cfg = scenario(slots=20)
@@ -284,6 +281,28 @@ class TestSweep:
             SweepSpec("n_tx", (4,), repetitions=1.5)
         with pytest.raises(ValueError, match="values must be a list"):
             SweepSpec("n_tx", 4)
+
+    @pytest.mark.parametrize(
+        "parameter, values, error",
+        [
+            ("v", (True, "2"), r"values\[0\] of v must be a number, got True"),
+            ("v", (0.5, "2"), r"values\[1\] of v must be a number, got '2'"),
+            ("p_target", ("1e-3",), r"values\[0\] of p_target must be a number"),
+            ("d_r", (2.0, float("nan")), r"values\[1\] of d_r must be a number, got nan"),
+            # a non-integer antenna count is rejected, not truncated
+            ("n_tx", (4, 4.5), r"values\[1\] of n_tx must be an integer, got 4.5"),
+            ("n_tx", (True,), r"values\[0\] of n_tx must be an integer"),
+        ],
+    )
+    def test_spec_checks_each_value_as_its_field(self, parameter, values, error):
+        # values were once converted only as each point ran, so float(True)
+        # and float("2") ran silently as v = 1.0 and v = 2.0
+        with pytest.raises(ValueError, match=error):
+            SweepSpec(parameter, values)
+
+    def test_spec_keeps_the_values_as_given(self):
+        spec = SweepSpec("v", [1, 0.5])
+        assert spec.values == (1, 0.5) and type(spec.values[0]) is int
 
     def test_apply_sweep_value(self):
         cfg = scenario()

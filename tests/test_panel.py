@@ -46,3 +46,25 @@ def test_panel_records_and_classifies(tmp_path, capsys):
     rewrite(b, case, "duty_cycle", (float.fromhex(row["duty_cycle"]) + 1.0 / 12).hex())
     assert panel.compare(a, b) == f"moved: 1 of {n} cases: {case}"
 
+
+def test_panel_judges_drift_slack_against_its_bound(tmp_path):
+    # drift_slack_max is round-off by construction: a change of it is
+    # round-off while both sides stay within DRIFT_SLACK, however large
+    # relative to the parent's value, and moved beyond it
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    n = tiny(a)
+    tiny(b)
+    case = "fig5 mdpp-energy seed=24"
+    entries = {e["case"]: e for e in map(json.loads, a.read_text().splitlines())}
+    slack = float.fromhex(entries[case]["row"]["drift_slack_max"])
+    assert slack <= 0.1 * panel.DRIFT_SLACK
+
+    rewrite(b, case, "drift_slack_max", (slack + 0.5 * panel.DRIFT_SLACK).hex())
+    assert panel.compare(a, b) == (
+        f"round-off: 1 of {n} cases differ, max relative difference 0.000e+00, "
+        f"drift_slack_max max change {0.5 * panel.DRIFT_SLACK:.3e}"
+    )
+
+    rewrite(b, case, "drift_slack_max", (1.5 * panel.DRIFT_SLACK).hex())
+    assert panel.compare(a, b) == f"moved: 1 of {n} cases: {case}"
+

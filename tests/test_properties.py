@@ -216,9 +216,12 @@ def valid_mapping(draw):
     }
     data = {"scenario": scenario, "policy": {key: v for key, v in policy.items() if v is not None}}
     if draw(st.booleans()):
+        parameter = draw(st.sampled_from(["n_tx", "v", "d_r", "p_target"]))
+        # an antenna count must be an integer; the other parameters are reals
+        value = st.integers(2, 12) if parameter == "n_tx" else st.integers(2, 12) | st.floats(0.5, 3.0)
         data["sweep"] = {
-            "parameter": draw(st.sampled_from(["n_tx", "v", "d_r", "p_target"])),
-            "values": draw(st.lists(st.integers(2, 12) | st.floats(0.5, 3.0), min_size=1, max_size=4)),
+            "parameter": parameter,
+            "values": draw(st.lists(value, min_size=1, max_size=4)),
             "repetitions": draw(st.integers(1, 5)),
         }
     return data

@@ -1,4 +1,4 @@
-"""The queue chunk kernel (mdpp-energy, mmf and qpf) against the readable
+"""The queue chunk kernel (every queue-driven kind) against the readable
 per-slot simulation, and its batched checks.
 
 The kernel steps a whole chunk per call and checks the residual of every
@@ -10,7 +10,6 @@ the slot-by-slot checks raise.
 """
 
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
@@ -19,26 +18,30 @@ from hypothesis import strategies as st
 
 from wptsim import harness, linalg, policies
 from wptsim.channel import KAPPA_LOS_LIMIT, ScenarioConfig
-from wptsim.policies import PolicyParams, core_step
+from wptsim.policies import QUEUE_DRIVEN_KINDS, PolicyParams, core_step
 from oracles import run_per_slot
 from test_linalg import not_converging
 
-QUEUE_CHUNK_KINDS = ("mdpp-energy", "mmf", "qpf")
+QUEUE_CHUNK_KINDS = QUEUE_DRIVEN_KINDS
 POSITIONS = ((0.3, 0.3), (0.0, 0.5), (-0.4, 0.2))
 THREE_RX = ScenarioConfig(n_tx=8, n_rx=4, positions=POSITIONS, slots=1100, seed=11, los_mode="steering")
 PARAMS = PolicyParams(p_peak=10.0, p_avg=5.0, p_targets=(0.05, 0.03, 0.04), p_min=0.005)
 # V of the gate runs: mdpp-energy's queues grow by the targets each slot,
-# so a small V lets it transmit within a 64-slot block
-GATE_V = {"mdpp-energy": 0.01, "mmf": 2.0, "qpf": 2.0}
+# so a small V lets it transmit within a 64-slot block; mdpp-power's budget
+# queue climbs by p_peak - p_avg per transmitting slot to about V lambda_max
+# (sum_i W_i) ~ 17 before it alternates transmitting and silent slots
+GATE_V = {"mdpp-energy": 0.01, "mdpp-power": 500.0, "mmf": 2.0, "qpf": 2.0}
 
 
-def test_the_kinds_are_those_the_kernel_steps():
-    stepped = {
-        kind
-        for kind, spec in policies.POLICIES.items()
-        if isinstance(spec.step, partial) and spec.step.func is policies._queue_chunk
-    }
-    assert stepped == set(QUEUE_CHUNK_KINDS)
+def test_the_kinds_are_those_the_kernel_steps(monkeypatch):
+    slots = [policies.POLICIES[kind].slot for kind in QUEUE_CHUNK_KINDS]
+    assert all(callable(slot) for slot in slots) and len(set(slots)) == len(slots)
+    stepped = []
+    monkeypatch.setattr(policies, "_queue_chunk", lambda slot, *args: stepped.append(slot))
+    for kind in QUEUE_CHUNK_KINDS:
+        core_step(kind, None, None, None, None)
+    assert stepped == slots
+    assert all(spec.slot is None for kind, spec in policies.POLICIES.items() if kind not in QUEUE_CHUNK_KINDS)
 
 
 def params_for(k, v):
@@ -194,18 +197,18 @@ def test_a_nan_solve_fails_the_chunk_without_a_warning(kind):
 @pytest.mark.parametrize("kind", QUEUE_CHUNK_KINDS)
 @pytest.mark.parametrize("wrong_from, error", [(None, ValueError), (10, ArithmeticError)])
 def test_the_first_failing_slot_decides_the_error(kind, wrong_from, error, monkeypatch):
-    # from slot 20 on the received powers are NaN, so a later slot's weights
-    # are not finite, which fails as that slot is solved; a wrong top vector
-    # from slot 9 on fails its residual check, batched to the end of the
-    # chunk, and must still win, as it does slot by slot
+    # from slot 20 on the deficits are NaN, so the next slot's weights or
+    # shift are not finite, which fails as that slot is solved; a wrong top
+    # vector from slot 9 on fails its residual check, batched to the end of
+    # the chunk, and must still win, as it does slot by slot
     solver = Solver(wrong_from)
-    received = policies._received
+    spec = policies.POLICIES[kind]
 
-    def nan_from_slot_20(ws, beam, efficiency):
-        return received(ws, beam, efficiency) * (np.nan if solver.calls > 20 else 1.0)
+    def nan_from_slot_20(q, beam, params):
+        return [d * (np.nan if solver.calls > 20 else 1.0) for d in spec.slot(q, beam, params)]
 
     monkeypatch.setattr(policies, "_eigh", solver)
-    monkeypatch.setattr(policies, "_received", nan_from_slot_20)
+    monkeypatch.setitem(policies.POLICIES, kind, replace(spec, slot=nan_from_slot_20))
     q, params, ws_block = chunk_inputs(kind)
     with pytest.raises(error):
         core_step(kind, q, params, ws_block, 1.0)
