@@ -4,20 +4,20 @@ run() drives one policy over cfg.slots timeslots and accumulates the
 time-averaged metrics; for the optimal threshold policies it first estimates
 the transmit threshold from a warm-up eigenvalue spectrum drawn on an RNG
 stream disjoint from the evaluation stream. Slots are sampled and their
-Grams formed in blocks of _CHUNK; a threshold policy decides a whole block
-at once, a queue-driven one steps through it slot by slot in one core_step
-call per block. The block size does not move a single bit of the summary.
-sweep() repeats run() over a one-parameter grid with independently seeded
-repetitions.
+Grams formed in blocks of _CHUNK, and every kind steps a whole block in one
+core_step call: a threshold policy decides the block at once on an empty
+queue vector, a queue-driven one steps through it slot by slot. The block
+size does not move a single bit of the summary. sweep() repeats run() over
+a one-parameter grid with independently seeded repetitions.
 
-Every queue-driven run checks the realized quadratic-drift inequality on
-every slot: with L = (1/2) sum_q q^2 over all queues and per-queue update
+Every run checks the realized quadratic-drift inequality on every slot:
+with L = (1/2) sum_q q^2 over all queues and per-queue update
 q <- max(q + d, 0),
 
     L[l+1] - L[l] <= sum_q q[l] * d[l] + (1/2) * sum_q d[l]^2
 
-must hold up to arithmetic slack. The maximum observed slack is reported in
-the summary.
+must hold up to arithmetic slack; with no queues both sides are zero. The
+maximum observed slack is reported in the summary.
 """
 
 from __future__ import annotations
@@ -45,8 +45,6 @@ from wptsim.policies import (
     gap_bound_const,
     policy_spec,
     resolve_params,
-    _core_optimal_energy,
-    _core_optimal_power,
 )
 from wptsim.threshold import (
     InfeasibleTargetError,
@@ -205,17 +203,13 @@ def run(
     while done < cfg.slots:
         take = min(_CHUNK, cfg.slots - done)
         ws_block = grams(sample_slot_block(cfg, rng, take))
-        if queue_driven:
-            qs, ds, on_recv = core_step(policy_kind, q, params, ws_block, eff)
-            q = qs[-1]
-            drift_slack_max = max(drift_slack_max, chunk_drift_slack(qs, ds))
-            # max(q + d, 0) is never negative and a NaN persists to the end
-            # of the block, so the block's last queues cover every slot
-            if not (q >= 0.0).all():
-                raise ArithmeticError(f"queues left the nonnegative orthant: {q}")
-        else:
-            step = _core_optimal_energy if spec.combine_rule == "single" else _core_optimal_power
-            on_recv = step(params, threshold, ws_block, eff)
+        qs, ds, on_recv = core_step(policy_kind, q, params, ws_block, eff, threshold)
+        q = qs[-1]
+        drift_slack_max = max(drift_slack_max, chunk_drift_slack(qs, ds))
+        # max(q + d, 0) is never negative and a NaN persists to the end of
+        # the block, so the block's last queues cover every slot
+        if not (q >= 0.0).all():
+            raise ArithmeticError(f"queues left the nonnegative orthant: {q}")
         # the transmitting slots of the block, in slot order
         for recv in on_recv:
             sum_transmit += params.p_peak

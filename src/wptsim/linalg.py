@@ -9,9 +9,10 @@ Every eigenpair solve goes through _eigh, which calls the LAPACK gufunc
 that np.linalg.eigh runs, without that function's per-call wrapper. The
 warm-up spectrum (channel.empirical_gain_spectrum) needs eigenvalues only
 and takes them from np.linalg.eigvalsh. A solved pair passes one residual
-gate: per matrix in top_eigpair, per stack in check_stack. Only
-max_eigpair, whose matrix comes from a caller, checks Hermiticity; the
-matrices the policies build leave hermitian_part Hermitian bit for bit.
+gate: check_stack, once per chunk, in both policy kernels. max_eigpair,
+whose matrix comes from a caller, checks its one pair itself, and it alone
+checks Hermiticity; the matrices the policies build leave hermitian_part
+Hermitian bit for bit.
 """
 
 from __future__ import annotations
@@ -168,11 +169,17 @@ def top_vector(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return vec
 
 
-def top_eigpair(w: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> EigenPair:
-    """The top eigenpair of Hermitian w from its eigh output, with
-    top_vector's conventions. The pair's residual ||W v - lam v|| must stay
-    within RESIDUAL_RTOL * max(1, |lam|).
+def max_eigpair(w: np.ndarray) -> EigenPair:
+    """Largest eigenvalue and eigenvector of a Hermitian matrix, deterministically.
+
+    The tie-break and phase conventions are those of top_vector. The pair's
+    residual ||W v - lam v|| must stay within RESIDUAL_RTOL * max(1, |lam|).
     """
+    w = np.asarray(w, dtype=np.complex128)
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {w.shape}")
+    _check_hermitian(w)
+    vals, vecs = _eigh(w)
     lam = float(vals[-1])
     vec = top_vector(vals, vecs)
     residual = _norm2(w @ vec - lam * vec)
@@ -181,24 +188,11 @@ def top_eigpair(w: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> EigenPair:
     return EigenPair(lam, vec)
 
 
-def max_eigpair(w: np.ndarray) -> EigenPair:
-    """Largest eigenvalue and eigenvector of a Hermitian matrix, deterministically.
-
-    The tie-break and phase conventions are those of top_vector.
-    """
-    w = np.asarray(w, dtype=np.complex128)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {w.shape}")
-    _check_hermitian(w)
-    vals, vecs = _eigh(w)
-    return top_eigpair(w, vals, vecs)
-
-
 def check_stack(w: np.ndarray, lam: np.ndarray, vecs: np.ndarray) -> None:
     """Reject a stack (T, N, N) of solved matrices unless each (lam[t],
     vecs[t]) is an eigenpair of w[t] to within RESIDUAL_RTOL * max(1,
     |lam[t]|). The error names the first failing pair in stack order, the one
-    top_eigpair, checking them one at a time, would raise first.
+    a check of one pair at a time would raise first.
     """
     res = np.linalg.norm(np.matmul(w, vecs[:, :, None])[:, :, 0] - lam[:, None] * vecs, axis=1)
     ok = res <= RESIDUAL_RTOL * np.maximum(1.0, np.abs(lam))

@@ -27,13 +27,13 @@ policies stay silent. Beam amplitude is sqrt(p_peak), so transmit power is
 exactly p_peak. Queue updates are Z <- max(Z + deficit, 0); each step
 returns the per-queue deficits so a drift bound can be checked externally.
 
-The threshold kinds carry no state, so their kernel decides a whole chunk
-of slots from one stacked eigensolve. The queue-driven kinds depend on the
-queues, so one block kernel, _queue_chunk, advances a whole chunk one slot
-at a time on a flat queue vector, with the checks of every slot's eigenpair
-batched to the end of the chunk. The kinds differ only in their slot
-function: the weights and shift it hands to the beam, and the deficits it
-returns.
+The threshold kinds carry no state, so _threshold_chunk decides a whole
+chunk of slots from one stacked eigensolve. The queue-driven kinds depend
+on the queues, so _queue_chunk advances a whole chunk one slot at a time on
+a flat queue vector. Both return core_step's triple and check every slot's
+eigenpair once, at the end of the chunk. The queue kinds differ only in
+their slot function: the weights and shift it hands to the beam, and the
+deficits it returns.
 
 Each kind's slot function, needed parameters, queue sizes, combine rule and
 optimal reference live in its PolicySpec entry of POLICIES; the calibrated
@@ -49,7 +49,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from wptsim.channel import ScenarioConfig, _as_real
-from wptsim.linalg import _eigh, check_stack, hermitian_part, top_eigpair, top_vector
+from wptsim.linalg import _eigh, check_stack, hermitian_part, top_vector
 
 
 @dataclass
@@ -92,35 +92,35 @@ def _received(ws: np.ndarray, beam: np.ndarray, efficiency: float) -> np.ndarray
 # optimal threshold policies (stateless): one chunk of slots per call
 
 
-def _threshold_chunk(w, lambda_th, p_peak, ws_block, efficiency) -> np.ndarray:
-    """Received powers (n_on, K) of the slots whose lambda_max(w[t]) clears
-    lambda_th, in slot order; the other slots of the chunk stay silent.
+def _threshold_chunk(rule, lambda_th, p_peak, ws_block, efficiency) -> tuple:
+    """Step a threshold kind through a chunk ws_block (T, K, N, N): a slot
+    transmits iff lambda_max(w[t]) clears lambda_th, with w[t] = W_1 for rule
+    "single" and hermitian_part(sum_i W_i) for "sum".
 
-    One stacked eigh serves the whole chunk, and check_stack checks every
-    slot's top pair on the solver's own unit vector; the beam is built only
-    for the transmitting slots, by the same top_eigpair that max_eigpair uses.
+    Returns (qs, ds, received) as core_step says, with no queues: qs is
+    (T + 1, 0) and ds (T, 0). One stacked eigh serves the whole chunk, the
+    beam is built only for the transmitting slots, and one check_stack at
+    the end checks every slot's top pair, as _queue_chunk does.
     """
+    if rule == "single":
+        w = ws_block[:, 0]
+    else:
+        # sum_i W_i: unit weights make every product exact, so this is the
+        # sum weighted_combine(ones, ws) forms, bit for bit whenever the BLAS
+        # adds the receivers in order (always for K <= 2)
+        w = hermitian_part(ws_block.sum(axis=1))
     vals, vecs = _eigh(w)
-    check_stack(w, vals[:, -1], vecs[:, :, -1])
-    on = np.flatnonzero(vals[:, -1] >= lambda_th)
-    recv = np.empty((on.size, ws_block.shape[1]))
+    lams = vals[:, -1]
+    # a silent slot's residual is checked on the solver's own unit vector
+    tops = vecs[:, :, -1].copy()
     amp = np.sqrt(p_peak)
+    on = np.flatnonzero(lams >= lambda_th)
+    received = np.empty((on.size, ws_block.shape[1]))
     for i, t in enumerate(on):
-        pair = top_eigpair(w[t], vals[t], vecs[t])
-        recv[i] = _received(ws_block[t], amp * pair.vector, efficiency)
-    return recv
-
-
-def _core_optimal_energy(params, threshold, ws_block, efficiency):
-    return _threshold_chunk(ws_block[:, 0], threshold.lambda_th, params.p_peak, ws_block, efficiency)
-
-
-def _core_optimal_power(params, threshold, ws_block, efficiency):
-    # sum_i W_i: unit weights make every product exact, so this is the sum
-    # weighted_combine(ones, ws) forms, bit for bit whenever the BLAS adds
-    # the receivers in order (always for K <= 2)
-    summed = hermitian_part(ws_block.sum(axis=1))
-    return _threshold_chunk(summed, threshold.lambda_th, params.p_peak, ws_block, efficiency)
+        tops[t] = vec = top_vector(vals[t], vecs[t])
+        received[i] = _received(ws_block[t], amp * vec, efficiency)
+    check_stack(w, lams, tops)
+    return np.zeros((len(w) + 1, 0)), np.zeros((len(w), 0)), received
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +250,9 @@ class PolicySpec:
     compare is the optimal kind a queue-driven kind is measured against and
     the summary column the gap is read on. combine_rule is a threshold
     kind's empirical_gain_spectrum rule: "single" (W_1, one receiver only)
-    or "sum" (sum_i W_i); it also picks the threshold kind's kernel,
-    _core_optimal_energy or _core_optimal_power. slot is a queue-driven
-    kind's slot function, slot(q, beam, params) -> deficits, which
-    core_step steps on _queue_chunk.
+    or "sum" (sum_i W_i); core_step hands it to _threshold_chunk as the
+    matrix the kind thresholds. slot is a queue-driven kind's slot function,
+    slot(q, beam, params) -> deficits, which core_step steps on _queue_chunk.
     """
 
     needs: tuple
@@ -292,17 +291,22 @@ def policy_spec(kind: str) -> PolicySpec:
     return POLICIES[kind]
 
 
-def core_step(kind: str, q, params, ws_block, efficiency):
-    """Advance a queue-driven kind through a chunk ws_block (T, K, N, N)
-    from the queue vector q (constraint queues z first, then auxiliary
-    queues g), on _queue_chunk with the kind's slot function.
+def core_step(kind: str, q, params, ws_block, efficiency, threshold=None):
+    """Advance a kind through a chunk ws_block (T, K, N, N) from the queue
+    vector q (constraint queues z first, then auxiliary queues g). A queue
+    kind steps _queue_chunk with its slot function; a threshold kind, whose
+    q is empty, steps _threshold_chunk with its combine_rule at
+    threshold.lambda_th.
 
     Returns (qs, ds, received): the queues before each slot and after the
     last (T + 1, n), each slot's deficits (T, n) with qs[t + 1] =
     max(qs[t] + ds[t], 0), and the received powers of the transmitting
     slots in slot order.
     """
-    return _queue_chunk(POLICIES[kind].slot, q, params, ws_block, efficiency)
+    spec = POLICIES[kind]
+    if spec.slot is not None:
+        return _queue_chunk(spec.slot, q, params, ws_block, efficiency)
+    return _threshold_chunk(spec.combine_rule, threshold.lambda_th, params.p_peak, ws_block, efficiency)
 
 
 def gap_bound_const(kind: str, n_receivers: int, p_peak: float) -> Optional[float]:
@@ -363,8 +367,8 @@ def default_v(kind: str, params: PolicyParams, cfg: ScenarioConfig) -> float:
 
 def resolve_params(cfg: ScenarioConfig, params: PolicyParams, kind: str) -> PolicyParams:
     """params checked against what kind needs on cfg, with a missing v set
-    to default_v. The other needed fields are checked first, because
-    default_v reads them."""
+    to default_v, and v cleared for a kind that reads none. The other
+    needed fields are checked first, because default_v reads them."""
     spec = policy_spec(kind)
     if spec.combine_rule == "single" and cfg.n_receivers != 1:
         raise ValueError(f"{kind} is single-receiver only")
@@ -372,6 +376,8 @@ def resolve_params(cfg: ScenarioConfig, params: PolicyParams, kind: str) -> Poli
         value = getattr(params, name)
         if name != "v" and (value is None or (name == "p_targets" and len(value) != cfg.n_receivers)):
             raise ValueError(f"{kind} needs {_NEEDS[name]}")
-    if "v" in spec.needs and params.v is None:
+    if "v" not in spec.needs:
+        params = replace(params, v=None)
+    elif params.v is None:
         params = replace(params, v=default_v(kind, params, cfg))
     return params

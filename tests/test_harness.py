@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wptsim import harness, linalg, policies
+from wptsim import harness, policies
 from wptsim.channel import KAPPA_LOS_LIMIT, ScenarioConfig
 from wptsim.config import load_preset
 from wptsim.harness import (
@@ -150,7 +150,7 @@ class TestRunBookkeeping:
             assert run(cfg, exp.params, "mdpp-power").to_row() == want
 
     def test_queues_outside_the_orthant_are_rejected(self, monkeypatch):
-        def nan_step(kind, q, params, ws_block, efficiency):
+        def nan_step(kind, q, params, ws_block, efficiency, threshold):
             qs = np.full((len(ws_block) + 1, q.size), np.nan)
             qs[0] = q
             return qs, np.full((len(ws_block), q.size), np.nan), []
@@ -176,23 +176,14 @@ class TestRunBookkeeping:
             vecs[..., -1] = vecs[..., 0]
             return vals, vecs
 
-        beams = []
-        top_eigpair = policies.top_eigpair
-
-        def counted(*args):
-            beams.append(args)
-            return top_eigpair(*args)
-
         monkeypatch.setattr(policies, "_eigh", bottom_as_top)
-        monkeypatch.setattr(policies, "top_eigpair", counted)
         with pytest.raises(ArithmeticError, match="residual"):
             self.threshold_run(kind)
-        assert not beams  # raised before any beam was built
 
     @pytest.mark.parametrize("kind", ("optimal-energy", "optimal-power"))
     def test_a_wrong_beam_fails_a_threshold_run(self, kind, monkeypatch):
-        # the per-slot gate: top_eigpair checks the beam of each transmitting slot
-        monkeypatch.setattr(linalg, "top_vector", lambda vals, vecs: vecs[:, 0].copy())
+        # the same gate checks the beam of each transmitting slot
+        monkeypatch.setattr(policies, "top_vector", lambda vals, vecs: vecs[:, 0].copy())
         with pytest.raises(ArithmeticError, match="residual"):
             self.threshold_run(kind)
 
@@ -217,6 +208,10 @@ class TestRunBookkeeping:
         explicit = PolicyParams(p_peak=5.0, v=0.123, p_avg=2.5)
         assert resolve_params(cfg, explicit, "mdpp-power").v == 0.123
         assert resolve_params(cfg, params, "optimal-power").v is None
+        # a kind that reads no v drops an explicit one
+        assert resolve_params(cfg, explicit, "optimal-power").v is None
+        one_rx = scenario(positions=((0.3, 0.3),))
+        assert resolve_params(one_rx, replace(explicit, p_targets=(0.01,)), "optimal-energy").v is None
 
     def test_power_scale(self):
         assert power_scale(PolicyParams(p_peak=5.0, p_targets=(0.01, 0.04))) == 0.04

@@ -5,6 +5,8 @@ recursion is replayed against a plain-float oracle with dyadic parameters so
 trajectories match exactly.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,6 @@ from wptsim.policies import (
     default_v,
     gap_bound_const,
     resolve_params,
-    _core_optimal_energy,
-    _core_optimal_power,
 )
 from wptsim.threshold import ThresholdValue
 from oracles import jacobi_spectrum, naive_combine, naive_gram
@@ -42,8 +42,14 @@ def chunk(*ws):
     return np.stack(ws)
 
 
+def threshold_step(kind):
+    """The received powers a threshold kind's core_step returns for one
+    chunk, as STEP(params, threshold, ws_block, efficiency)."""
+    return staticmethod(lambda params, threshold, ws, eff: core_step(kind, np.zeros(0), params, ws, eff, threshold)[2])
+
+
 class TestOptimalEnergy:
-    STEP = staticmethod(_core_optimal_energy)
+    STEP = threshold_step("optimal-energy")
     PARAMS = PolicyParams(p_peak=5.0, p_targets=(0.01,))
 
     def test_transmits_above_threshold(self):
@@ -80,7 +86,7 @@ class TestOptimalEnergy:
 
 
 class TestOptimalPower:
-    STEP = staticmethod(_core_optimal_power)
+    STEP = threshold_step("optimal-power")
     WS = grams_of([[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])  # diag(1,0,0), diag(0,2,0)
 
     def test_beams_on_summed_gram(self):
@@ -348,7 +354,9 @@ class TestParameterPlumbing:
         for kind in POLICY_KINDS:
             if kind == "optimal-energy":
                 continue
-            assert resolve_params(TWO_RX, full, kind) == full
+            # a kind that reads no v reports none
+            want = full if "v" in POLICIES[kind].needs else replace(full, v=None)
+            assert resolve_params(TWO_RX, full, kind) == want
         with pytest.raises(ValueError, match="unknown policy"):
             resolve_params(TWO_RX, full, "mdpp")
         # a missing v is derived, not rejected

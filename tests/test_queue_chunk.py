@@ -1,5 +1,6 @@
 """The queue chunk kernel (every queue-driven kind) against the readable
-per-slot simulation, and its batched checks.
+per-slot simulation, its batched checks, and core_step's dispatch of every
+kind to its block kernel.
 
 The kernel steps a whole chunk per call and checks the residual of every
 slot's top eigenpair once per chunk. It must reproduce
@@ -18,11 +19,13 @@ from hypothesis import strategies as st
 
 from wptsim import harness, linalg, policies
 from wptsim.channel import KAPPA_LOS_LIMIT, ScenarioConfig
-from wptsim.policies import QUEUE_DRIVEN_KINDS, PolicyParams, core_step
+from wptsim.policies import POLICY_KINDS, QUEUE_DRIVEN_KINDS, PolicyParams, core_step
+from wptsim.threshold import ThresholdValue
 from oracles import run_per_slot
 from test_linalg import not_converging
 
 QUEUE_CHUNK_KINDS = QUEUE_DRIVEN_KINDS
+THRESHOLD_KINDS = tuple(kind for kind in POLICY_KINDS if kind not in QUEUE_CHUNK_KINDS)
 POSITIONS = ((0.3, 0.3), (0.0, 0.5), (-0.4, 0.2))
 THREE_RX = ScenarioConfig(n_tx=8, n_rx=4, positions=POSITIONS, slots=1100, seed=11, los_mode="steering")
 PARAMS = PolicyParams(p_peak=10.0, p_avg=5.0, p_targets=(0.05, 0.03, 0.04), p_min=0.005)
@@ -36,12 +39,28 @@ GATE_V = {"mdpp-energy": 0.01, "mdpp-power": 500.0, "mmf": 2.0, "qpf": 2.0}
 def test_the_kinds_are_those_the_kernel_steps(monkeypatch):
     slots = [policies.POLICIES[kind].slot for kind in QUEUE_CHUNK_KINDS]
     assert all(callable(slot) for slot in slots) and len(set(slots)) == len(slots)
+    assert all(policies.POLICIES[kind].slot is None for kind in THRESHOLD_KINDS)
+    # a threshold kind steps a block with no queues (at a zero threshold
+    # every slot transmits), so a run's drift check reads 0 and its queue
+    # rates are empty
+    cfg = replace(THREE_RX, slots=64, seed=3)
+    ws_block = linalg.grams(harness.sample_slot_block(cfg, harness.evaluation_rng(cfg), cfg.slots))
+    for kind in THRESHOLD_KINDS:
+        qs, ds, received = core_step(kind, np.zeros(0), PARAMS, ws_block, 1.0, ThresholdValue(0.0, 1.0))
+        assert qs.shape == (65, 0) and ds.shape == (64, 0) and np.shape(received) == (64, 3)
+        k = 1 if policies.POLICIES[kind].combine_rule == "single" else 3
+        summary = harness.run(replace(cfg, positions=POSITIONS[:k], slots=600), params_for(k, None), kind, 512)
+        assert summary.duty_cycle > 0.0 and summary.drift_slack_max == 0.0
+        assert summary.z_rates == summary.g_rates == ()
+    # core_step sends a queue kind to _queue_chunk with its slot function,
+    # and a threshold kind to _threshold_chunk with its combine rule
     stepped = []
     monkeypatch.setattr(policies, "_queue_chunk", lambda slot, *args: stepped.append(slot))
-    for kind in QUEUE_CHUNK_KINDS:
-        core_step(kind, None, None, None, None)
-    assert stepped == slots
-    assert all(spec.slot is None for kind, spec in policies.POLICIES.items() if kind not in QUEUE_CHUNK_KINDS)
+    monkeypatch.setattr(policies, "_threshold_chunk", lambda rule, th, peak, *args: stepped.append((rule, th, peak)))
+    for kind in POLICY_KINDS:
+        core_step(kind, None, PARAMS, None, None, ThresholdValue(2.5, 1.0))
+    want = {"optimal-energy": ("single", 2.5, 10.0), "optimal-power": ("sum", 2.5, 10.0)}
+    assert stepped == [want[kind] if kind in want else policies.POLICIES[kind].slot for kind in POLICY_KINDS]
 
 
 def params_for(k, v):
