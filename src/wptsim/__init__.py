@@ -9,7 +9,7 @@ queue-driven near-optimal ones), a slot-loop harness with parameter sweeps,
 and a command line front end.
 """
 
-from wptsim.linalg import EigenPair, grams, max_eigpair, quad_form, weighted_combine
+from wptsim.linalg import grams
 from wptsim.channel import (
     ScenarioConfig,
     evaluation_rng,
@@ -43,11 +43,7 @@ from wptsim.config import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "EigenPair",
     "grams",
-    "max_eigpair",
-    "quad_form",
-    "weighted_combine",
     "ScenarioConfig",
     "evaluation_rng",
     "warmup_rng",

@@ -217,6 +217,7 @@ def empirical_gain_spectrum(cfg, combine_rule: str, n_samples: int, rng):
     the eigenvalue computation and multiplied back in, so scaling it rescales
     every sample exactly.
     """
+    n_samples = _as_int("n_samples", n_samples)
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     if combine_rule not in ("single", "sum"):

@@ -31,9 +31,9 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending key path."""
 
 
-# the reference two-receiver desk topology: access point at the origin,
-# one receiver on the diagonal at 0.3,0.3 and one further out on the y axis
-AP_POSITION = (0.0, 0.0)
+# the reference two-receiver desk topology: the access point at the origin
+# (ScenarioConfig's default ap_position), one receiver on the diagonal at
+# 0.3,0.3 and one further out on the y axis
 NEAR_POSITION = (0.3, 0.3)
 FAR_POSITION = (0.0, 0.5 * math.sqrt(2.0))
 

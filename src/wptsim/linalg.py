@@ -1,4 +1,4 @@
-"""Complex matrix kernels: channel Grams, dominant eigenpairs, quadratic forms.
+"""Complex matrix kernels: channel Grams and dominant eigenpairs.
 
 Everything here operates on small dense Hermitian matrices (N <= 32). The
 weighted combinations used by the queue-driven policies are indefinite, so the
@@ -6,25 +6,24 @@ dominant eigenpair is always the algebraically largest one, obtained from a
 full Hermitian eigendecomposition rather than power iteration.
 
 Every eigenpair solve goes through _eigh, which calls the LAPACK gufunc
-that np.linalg.eigh runs, without that function's per-call wrapper. The
-warm-up spectrum (channel.empirical_gain_spectrum) needs eigenvalues only
-and takes them from np.linalg.eigvalsh. A solved pair passes one residual
-gate: check_stack, once per chunk, in both policy kernels. max_eigpair,
-whose matrix comes from a caller, checks its one pair itself, and it alone
-checks Hermiticity; the matrices the policies build leave hermitian_part
-Hermitian bit for bit.
+that np.linalg.eigh runs, without that function's per-call wrapper, and
+top_vector picks the beam from its output. The warm-up spectrum
+(channel.empirical_gain_spectrum) needs eigenvalues only and takes them
+from np.linalg.eigvalsh. A solved pair passes one residual gate:
+check_stack, once per chunk, in both policy kernels. Every matrix they
+solve is one the library builds through hermitian_part, which leaves it
+Hermitian bit for bit, so no Hermiticity is checked. The per-matrix
+reference of the kernels (weighted_combine and max_eigpair) is built from
+these parts in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-# Hermiticity is enforced to this absolute tolerance on max|W - W^H|.
-HERMITIAN_ATOL = 1e-10
 # Accepted residual ||W v - lam v|| relative to max(1, |lam|).
 RESIDUAL_RTOL = 1e-8
 # Components below this magnitude count as zero for the phase convention.
@@ -32,13 +31,6 @@ _NONZERO_ATOL = 1e-12
 # An eigenvalue ties with the top one when it lies within
 # _TIE_RTOL * max(1, max |eigenvalue|) of it.
 _TIE_RTOL = 64.0 * np.finfo(np.float64).eps
-
-
-class EigenPair(NamedTuple):
-    """Algebraically largest eigenvalue of a Hermitian matrix and a unit eigenvector."""
-
-    value: float
-    vector: np.ndarray
 
 
 def hermitian_part(w: np.ndarray) -> np.ndarray:
@@ -72,42 +64,6 @@ def grams(h: np.ndarray) -> np.ndarray:
     return hermitian_part(np.einsum("...mn,...mp->...np", h.conj(), h))
 
 
-def weighted_combine(
-    weights: Sequence[float],
-    grams: Sequence[np.ndarray],
-    shift: float = 0.0,
-) -> np.ndarray:
-    """Real-weighted sum of Hermitian matrices minus shift * identity.
-
-    Returns sum_i weights[i] * grams[i] - shift * I. The result is Hermitian
-    but in general indefinite (the shift pushes the spectrum down).
-    """
-    w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError("weights must be a nonempty 1-D sequence")
-    if len(grams) != w.size:
-        raise ValueError(f"got {w.size} weights for {len(grams)} matrices")
-    g = np.asarray(grams, dtype=np.complex128)
-    if g.ndim != 3 or g.shape[1] != g.shape[2]:
-        raise ValueError("grams must be a sequence of equal-size square matrices")
-    if not (np.isfinite(w).all() and math.isfinite(shift)):
-        raise ValueError("weights and shift must be finite")
-    n = g.shape[1]
-    # the product np.tensordot(w, g, axes=1) makes, without its bookkeeping
-    out = np.dot(w.reshape(1, -1), g.reshape(w.size, n * n)).reshape(n, n)
-    out.reshape(-1)[:: n + 1] -= shift
-    return hermitian_part(out)
-
-
-def _check_hermitian(w: np.ndarray) -> None:
-    """Reject unless max|W - W^H| <= HERMITIAN_ATOL."""
-    dev = float(np.abs(w - w.swapaxes(-1, -2).conj()).max()) if w.size else 0.0
-    if not dev <= HERMITIAN_ATOL:
-        raise ValueError(
-            f"matrix is not Hermitian: max deviation {dev:.3e} exceeds {HERMITIAN_ATOL:.0e}"
-        )
-
-
 # the gufunc np.linalg.eigh(w) runs with its default UPLO='L'
 _eigh_lo = _umath_linalg.eigh_lo
 
@@ -121,10 +77,6 @@ def _eigh(w: np.ndarray) -> tuple:
     if math.isnan(vals[-1]) if vals.ndim == 1 else np.isnan(vals[..., -1]).any():
         raise ArithmeticError("Hermitian eigendecomposition did not converge")
     return vals, vecs
-
-
-def _residual_error(residual: float, lam: float) -> ArithmeticError:
-    return ArithmeticError(f"eigenpair residual {residual:.3e} exceeds tolerance for eigenvalue {lam:.6g}")
 
 
 def _norm2(x: np.ndarray) -> float:
@@ -169,25 +121,6 @@ def top_vector(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return vec
 
 
-def max_eigpair(w: np.ndarray) -> EigenPair:
-    """Largest eigenvalue and eigenvector of a Hermitian matrix, deterministically.
-
-    The tie-break and phase conventions are those of top_vector. The pair's
-    residual ||W v - lam v|| must stay within RESIDUAL_RTOL * max(1, |lam|).
-    """
-    w = np.asarray(w, dtype=np.complex128)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {w.shape}")
-    _check_hermitian(w)
-    vals, vecs = _eigh(w)
-    lam = float(vals[-1])
-    vec = top_vector(vals, vecs)
-    residual = _norm2(w @ vec - lam * vec)
-    if not residual <= RESIDUAL_RTOL * max(1.0, abs(lam)):
-        raise _residual_error(residual, lam)
-    return EigenPair(lam, vec)
-
-
 def check_stack(w: np.ndarray, lam: np.ndarray, vecs: np.ndarray) -> None:
     """Reject a stack (T, N, N) of solved matrices unless each (lam[t],
     vecs[t]) is an eigenpair of w[t] to within RESIDUAL_RTOL * max(1,
@@ -198,26 +131,4 @@ def check_stack(w: np.ndarray, lam: np.ndarray, vecs: np.ndarray) -> None:
     ok = res <= RESIDUAL_RTOL * np.maximum(1.0, np.abs(lam))
     if not ok.all():
         t = int(ok.argmin())
-        raise _residual_error(float(res[t]), float(lam[t]))
-
-
-def quad_form(w: np.ndarray, x: np.ndarray) -> float:
-    """Quadratic form x^H W x as a real number.
-
-    W must be Hermitian so the form is real; a relative imaginary part above
-    1e-10 is rejected rather than silently discarded. A non-finite entry of
-    W or x, and a form that overflows, are rejected too.
-    """
-    w = np.asarray(w, dtype=np.complex128)
-    x = np.asarray(x, dtype=np.complex128)
-    if x.ndim != 1 or w.shape != (x.size, x.size):
-        raise ValueError(f"dimension mismatch: matrix {w.shape} vs vector {x.shape}")
-    if not (np.isfinite(w).all() and np.isfinite(x).all()):
-        raise ValueError("quadratic form of a non-finite matrix or vector")
-    with np.errstate(over="ignore", invalid="ignore"):
-        val = complex(np.vdot(x, w @ x))
-    if not np.isfinite(val):
-        raise ValueError(f"quadratic form is not finite ({val}); W or x is too large")
-    if abs(val.imag) > 1e-10 * max(1.0, abs(val)):
-        raise ValueError(f"quadratic form is not real (imag {val.imag:.3e}); W must be Hermitian")
-    return val.real
+        raise ArithmeticError(f"eigenpair residual {res[t]:.3e} exceeds tolerance for eigenvalue {lam[t]:.6g}")

@@ -98,16 +98,18 @@ def _threshold_chunk(rule, lambda_th, p_peak, ws_block, efficiency) -> tuple:
     "single" and hermitian_part(sum_i W_i) for "sum".
 
     Returns (qs, ds, received) as core_step says, with no queues: qs is
-    (T + 1, 0) and ds (T, 0). One stacked eigh serves the whole chunk, the
-    beam is built only for the transmitting slots, and one check_stack at
-    the end checks every slot's top pair, as _queue_chunk does.
+    (T + 1, 0) and ds (T, 0). Every slot's decision and beam are those of
+    the per-slot oracle's max_eigpair (tests/oracles.py), bit for bit. One
+    stacked eigh serves the whole chunk, the beam is built only for the
+    transmitting slots, and one check_stack at the end checks every slot's
+    top pair, as _queue_chunk does.
     """
     if rule == "single":
         w = ws_block[:, 0]
     else:
         # sum_i W_i: unit weights make every product exact, so this is the
-        # sum weighted_combine(ones, ws) forms, bit for bit whenever the BLAS
-        # adds the receivers in order (always for K <= 2)
+        # sum the oracle's weighted_combine(ones, ws) forms, bit for bit
+        # whenever the BLAS adds the receivers in order (always for K <= 2)
         w = hermitian_part(ws_block.sum(axis=1))
     vals, vecs = _eigh(w)
     lams = vals[:, -1]
@@ -181,12 +183,13 @@ def _queue_chunk(slot, q, params, ws_block, efficiency) -> tuple:
     Returns (qs, ds, received) as core_step says. beam takes K weights, or
     one weight for every receiver. Every slot's decision, beam and queues
     are those of max_eigpair(weighted_combine(weights, ws, shift)) and
-    q <- max(q + d, 0), bit for bit. Finite weights and convergence are
-    checked as each slot is solved, and the top-pair residual of every slot
-    at the end of the chunk, or before the first inline failure is raised,
-    so the run fails with the error the slot-by-slot checks would raise
-    first. Each slot's matrix leaves hermitian_part Hermitian bit for bit,
-    so it is not checked for Hermiticity.
+    q <- max(q + d, 0) in the per-slot oracle (tests/oracles.py), bit for
+    bit. Finite weights and convergence are checked as each slot is solved,
+    and the top-pair residual of every slot at the end of the chunk, or
+    before the first inline failure is raised, so the run fails with the
+    error the slot-by-slot checks would raise first. Each slot's matrix
+    leaves hermitian_part Hermitian bit for bit, so it is not checked for
+    Hermiticity.
     """
     t_slots, k, n = ws_block.shape[:3]
     flat = ws_block.reshape(t_slots, k, n * n)
@@ -202,7 +205,7 @@ def _queue_chunk(slot, q, params, ws_block, efficiency) -> tuple:
     def beam(weights, shift):
         if not (math.isfinite(shift) and all(map(math.isfinite, weights))):
             raise ValueError("weights and shift must be finite")
-        # weighted_combine's arithmetic on this slot's Grams; a single
+        # sum_i weights[i] W_i - shift I on this slot's Grams; a single
         # weight fills the row
         row[0] = weights
         m = np.dot(row, flat[t])

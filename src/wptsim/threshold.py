@@ -72,7 +72,7 @@ def solve_energy_threshold(
     When the tail is the whole sample set the threshold is reported as 0
     (transmit always). achieved_target is the attained tail mean.
     """
-    if p_target <= 0.0 or p_peak <= 0.0:
+    if not (p_target > 0.0 and p_peak > 0.0):
         raise ValueError(f"p_target and p_peak must be > 0, got {p_target}, {p_peak}")
     x = spectrum.samples
     n = spectrum.count
@@ -108,7 +108,7 @@ def solve_power_threshold(
     means the budget never binds and the threshold is 0. achieved_target is
     the attained closed-tail duty cycle.
     """
-    if p_avg <= 0.0 or p_peak <= 0.0:
+    if not (p_avg > 0.0 and p_peak > 0.0):
         raise ValueError(f"p_avg and p_peak must be > 0, got {p_avg}, {p_peak}")
     x = spectrum.samples
     n = spectrum.count

@@ -7,10 +7,16 @@ Two kinds, both slow on purpose and correctness references only:
   Jacobi iteration on the real symmetric embedding of a complex Hermitian
   matrix, and the matrix helpers use naive index loops;
 * the readable per-slot simulation (run_per_slot and its steps): one slot
-  at a time, a QueueState and a SlotDecision per slot, built from the
-  library's own per-matrix kernels (weighted_combine, max_eigpair). The
-  library's chunked threshold kinds and allocation-free queue kinds must
-  reproduce its summaries bit for bit.
+  at a time, a QueueState and a SlotDecision per slot, built on two
+  per-matrix helpers assembled from the library's block-kernel parts:
+  weighted_combine forms a slot's matrix with the arithmetic of
+  policies._queue_chunk, and max_eigpair solves it through linalg._eigh,
+  linalg.top_vector and the one residual gate, linalg.check_stack. The
+  library's chunked threshold kinds and queue kinds must reproduce its
+  summaries bit for bit.
+
+quad_form, x^H W x read with np.vdot and asserted real, serves the
+spectral-bound checks (criterion 01 and test_linalg).
 """
 
 import math
@@ -26,7 +32,7 @@ from wptsim.harness import (
     estimate_threshold,
     power_scale,
 )
-from wptsim.linalg import grams, max_eigpair, weighted_combine
+from wptsim.linalg import _eigh, check_stack, grams, hermitian_part, top_vector
 from wptsim.policies import gap_bound_const, policy_spec, resolve_params
 
 
@@ -67,6 +73,14 @@ def naive_trace_quad(w, x):
         for b in range(n):
             tr += w[a, b] * outer[b, a]
     return tr.real
+
+
+def quad_form(w, x):
+    """x^H W x of a Hermitian W as a real number, asserting that the
+    imaginary part the rounding leaves stays within 1e-10 relative."""
+    val = complex(np.vdot(x, w @ x))
+    assert abs(val.imag) <= 1e-10 * max(1.0, abs(val)), f"quadratic form is not real: {val}"
+    return val.real
 
 
 def real_embedding(w):
@@ -132,6 +146,29 @@ def random_psd(rng, m, n):
 # the readable per-slot simulation
 
 
+def weighted_combine(weights, ws, shift=0.0):
+    """sum_i weights[i] ws[i] - shift I, with the arithmetic of
+    policies._queue_chunk's beam: one np.dot of the weight row with the
+    flattened matrices, the shift taken off the diagonal, then
+    hermitian_part."""
+    k = len(weights)
+    g = np.asarray(ws, dtype=np.complex128)
+    n = g.shape[-1]
+    m = np.dot(np.asarray(weights, dtype=np.float64).reshape(1, k), g.reshape(k, n * n))
+    m[0, :: n + 1] -= shift
+    return hermitian_part(m.reshape(n, n))
+
+
+def max_eigpair(w):
+    """(value, vector): the algebraically largest eigenvalue of Hermitian w
+    and its unit eigenvector, as the block kernels take it: _eigh, then
+    top_vector's tie-break and phase, then check_stack on the one pair."""
+    vals, vecs = _eigh(w)
+    vec = top_vector(vals, vecs)
+    check_stack(w[None], vals[-1:], vec[None])
+    return float(vals[-1]), vec
+
+
 @dataclass
 class QueueState:
     """Virtual queues of one policy instance (watt-slots) plus current targets."""
@@ -168,26 +205,26 @@ def _received(ws, beam, efficiency):
     return efficiency * np.einsum("n,knm,m->k", beam.conj(), ws, beam).real
 
 
-def _two_level(pair, on, p_peak, ws, efficiency):
+def _two_level(vec, on, p_peak, ws, efficiency):
     if on:
-        beam = np.sqrt(p_peak) * pair.vector
+        beam = np.sqrt(p_peak) * vec
         return beam, p_peak, _received(ws, beam, efficiency)
     return np.zeros(ws.shape[1], dtype=np.complex128), 0.0, np.zeros(ws.shape[0])
 
 
 def step_optimal_energy(params, threshold, ws, efficiency):
-    pair = max_eigpair(ws[0])
-    return SlotDecision(*_two_level(pair, pair.value >= threshold.lambda_th, params.p_peak, ws, efficiency))
+    lam, vec = max_eigpair(ws[0])
+    return SlotDecision(*_two_level(vec, lam >= threshold.lambda_th, params.p_peak, ws, efficiency))
 
 
 def step_optimal_power(params, threshold, ws, efficiency):
-    pair = max_eigpair(weighted_combine(np.ones(ws.shape[0]), ws, 0.0))
-    return SlotDecision(*_two_level(pair, pair.value >= threshold.lambda_th, params.p_peak, ws, efficiency))
+    lam, vec = max_eigpair(weighted_combine(np.ones(ws.shape[0]), ws, 0.0))
+    return SlotDecision(*_two_level(vec, lam >= threshold.lambda_th, params.p_peak, ws, efficiency))
 
 
 def step_mdpp_energy(state, params, ws, efficiency):
-    pair = max_eigpair(weighted_combine(state.z, ws, shift=params.v))
-    beam, power, recv = _two_level(pair, pair.value > 0.0, params.p_peak, ws, efficiency)
+    lam, vec = max_eigpair(weighted_combine(state.z, ws, shift=params.v))
+    beam, power, recv = _two_level(vec, lam > 0.0, params.p_peak, ws, efficiency)
     deficits = np.asarray(params.p_targets) - recv
     new_z = np.maximum(state.z + deficits, 0.0)
     return SlotDecision(beam, power, recv, deficits), QueueState(new_z, state.g, state.gamma)
@@ -195,8 +232,8 @@ def step_mdpp_energy(state, params, ws, efficiency):
 
 def step_mdpp_power(state, params, ws, efficiency):
     k = ws.shape[0]
-    pair = max_eigpair(weighted_combine(np.full(k, params.v), ws, shift=state.z[0]))
-    beam, power, recv = _two_level(pair, pair.value > 0.0, params.p_peak, ws, efficiency)
+    lam, vec = max_eigpair(weighted_combine(np.full(k, params.v), ws, shift=state.z[0]))
+    beam, power, recv = _two_level(vec, lam > 0.0, params.p_peak, ws, efficiency)
     deficit = power - params.p_avg
     new_z = np.maximum(state.z + deficit, 0.0)
     return SlotDecision(beam, power, recv, np.array([deficit])), QueueState(new_z, state.g, state.gamma)
@@ -206,8 +243,8 @@ def step_mmf(state, params, ws, efficiency):
     k = ws.shape[0]
     gamma_on = params.v > float(np.sum(state.g))
     gamma = np.full(k, params.p_peak if gamma_on else 0.0)
-    pair = max_eigpair(weighted_combine(state.g, ws, shift=state.z[0]))
-    beam, power, recv = _two_level(pair, pair.value > 0.0, params.p_peak, ws, efficiency)
+    lam, vec = max_eigpair(weighted_combine(state.g, ws, shift=state.z[0]))
+    beam, power, recv = _two_level(vec, lam > 0.0, params.p_peak, ws, efficiency)
     z_deficit = power - params.p_avg
     g_deficits = gamma - recv
     new_z = np.maximum(state.z + z_deficit, 0.0)
@@ -222,8 +259,8 @@ def step_qpf(state, params, ws, efficiency):
     gamma = np.full(k, float(params.p_peak))
     pos = g > 0.0
     gamma[pos] = np.minimum(params.v / g[pos], params.p_peak)
-    pair = max_eigpair(weighted_combine(state.z[:k] + g, ws, shift=state.z[k]))
-    beam, power, recv = _two_level(pair, pair.value > 0.0, params.p_peak, ws, efficiency)
+    lam, vec = max_eigpair(weighted_combine(state.z[:k] + g, ws, shift=state.z[k]))
+    beam, power, recv = _two_level(vec, lam > 0.0, params.p_peak, ws, efficiency)
     floor_deficits = params.p_min - recv
     budget_deficit = power - params.p_avg
     g_deficits = gamma - recv

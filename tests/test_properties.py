@@ -1,9 +1,6 @@
-"""Property tests (hypothesis): the Hermiticity gate, the queue update, the
-chunked slot loop and the config parser.
+"""Property tests (hypothesis): the queue update, the chunked slot loop and
+the config parser.
 
-* The Hermiticity gate of max_eigpair, the one entry point whose matrices
-  come from callers, accepts a matrix whose max|W - W^H| sits just below
-  HERMITIAN_ATOL and rejects one just above it.
 * Over any chain of slots from nonnegative queues, q <- max(q + d, 0)
   keeps the queues nonnegative, chunk_drift_slack gives each slot the slack
   of the per-slot formula bit for bit, and the quadratic drift inequality
@@ -30,46 +27,10 @@ from wptsim import harness
 from wptsim.channel import KAPPA_LOS_LIMIT, ScenarioConfig
 from wptsim.config import ConfigError, Experiment, experiment_from_mapping, experiment_to_mapping, preset_names
 from wptsim.harness import DRIFT_SLACK, SweepSpec, chunk_drift_slack, run
-from wptsim.linalg import HERMITIAN_ATOL, max_eigpair
 from wptsim.policies import POLICIES, POLICY_KINDS, QUEUE_DRIVEN_KINDS, PolicyParams, core_step
-from oracles import drift_slack, random_hermitian
+from oracles import drift_slack
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
-
-
-@st.composite
-def perturbed(draw, factor):
-    """An exactly Hermitian W with one entry moved so that max|W - W^H| is
-    factor * HERMITIAN_ATOL, up to round-off far below the margins drawn."""
-    n = draw(st.integers(min_value=1, max_value=6))
-    rng = np.random.default_rng(draw(SEEDS))
-    w = random_hermitian(rng, n, scale=draw(st.floats(min_value=1e-3, max_value=10.0)))
-    dev = draw(factor) * HERMITIAN_ATOL
-    a = draw(st.integers(min_value=0, max_value=n - 1))
-    b = draw(st.integers(min_value=0, max_value=n - 1))
-    if a == b:
-        # W - W^H on the diagonal is twice the imaginary part
-        w[a, a] += 0.5j * dev
-    else:
-        w[a, b] += dev * np.exp(1j * draw(st.floats(min_value=0.0, max_value=2 * np.pi)))
-    return w
-
-
-BELOW = st.floats(min_value=0.0, max_value=0.99)
-ABOVE = st.floats(min_value=1.01, max_value=100.0)
-
-
-@settings(max_examples=150, deadline=None)
-@given(perturbed(BELOW))
-def test_hermitian_gate_accepts_just_below_tolerance(w):
-    max_eigpair(w)
-
-
-@settings(max_examples=150, deadline=None)
-@given(perturbed(ABOVE))
-def test_hermitian_gate_rejects_just_above_tolerance(w):
-    with pytest.raises(ValueError, match="not Hermitian"):
-        max_eigpair(w)
 
 
 @st.composite

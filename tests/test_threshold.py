@@ -80,6 +80,11 @@ class TestEnergySolver:
         with pytest.raises(ValueError):
             solve_energy_threshold(spectrum([1.0]), 1.0, -1.0)
 
+    @pytest.mark.parametrize("p_target, p_peak", [(math.nan, 5.0), (1.0, math.nan)], ids=["target", "peak"])
+    def test_rejects_nan_inputs_by_name(self, p_target, p_peak):
+        with pytest.raises(ValueError, match="p_target and p_peak must be > 0"):
+            solve_energy_threshold(spectrum([1.0, 2.0]), p_target, p_peak)
+
     def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(201)
         for _ in range(300):
@@ -133,6 +138,11 @@ class TestPowerSolver:
             solve_power_threshold(spectrum([1.0]), 0.0, 1.0)
         with pytest.raises(ValueError):
             solve_power_threshold(spectrum([1.0]), 1.0, 0.0)
+
+    @pytest.mark.parametrize("p_avg, p_peak", [(math.nan, 10.0), (1.0, math.nan)], ids=["avg", "peak"])
+    def test_rejects_nan_inputs_by_name(self, p_avg, p_peak):
+        with pytest.raises(ValueError, match="p_avg and p_peak must be > 0"):
+            solve_power_threshold(spectrum([1.0, 2.0]), p_avg, p_peak)
 
     def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(203)
