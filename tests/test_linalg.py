@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wptsim import linalg
-from wptsim.linalg import _eigh, check_stack, grams, hermitian_part, top_vector
+from wptsim.linalg import RESIDUAL_RTOL, _eigh, _norm2, check_stack, grams, hermitian_part, top_vector
 from oracles import (
     jacobi_spectrum,
     naive_combine,
@@ -120,6 +120,14 @@ class TestHermitianize:
         w = random_hermitian(rng, 4)
         assert np.array_equal(weighted_combine([1.0], [w], 0.0), w)
 
+    @pytest.mark.parametrize("shape", [(3, 3), (1, 3, 3), (7, 3, 3), (2, 4, 3, 3)], ids=["single", "T1", "T7", "T2x4"])
+    def test_output_is_stored_transposed_for_every_stack_size(self, shape):
+        rng = np.random.default_rng(len(shape))
+        w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        out = hermitian_part(w)
+        item = out.itemsize
+        assert out.strides[-2:] == (item, item * shape[-1])
+
 
 class TestWeightedCombine:
     """The oracle's weighted_combine, with the chunk kernel's arithmetic."""
@@ -193,6 +201,13 @@ class TestEigh:
             with pytest.raises(ArithmeticError, match="did not converge"):
                 _eigh(np.full((3, 3), np.nan, dtype=complex))
 
+    def test_an_inf_matrix_is_named(self):
+        w = np.eye(3, dtype=complex)
+        w[0, 1] = w[1, 0] = np.inf
+        with np.errstate(divide="ignore"), pytest.warns(RuntimeWarning, match="invalid value"):
+            with pytest.raises(ArithmeticError, match="did not converge"):
+                _eigh(w)
+
 
 class TestTopVector:
     """The top pair the kernels take, top_vector(*_eigh(w)): its value, tie
@@ -249,6 +264,17 @@ class TestTopVector:
         assert lam == pytest.approx(0.5, abs=1e-12)
         assert np.allclose(vec, [0.0, 1.0], atol=1e-12)
 
+    def test_zero_matrix_gives_the_first_axis(self):
+        lam, vec = top_pair(np.zeros((4, 4), dtype=complex))
+        assert lam == 0.0
+        assert np.array_equal(vec, [1.0, 0.0, 0.0, 0.0])
+
+    def test_norm_matches_numpy_bit_for_bit(self):
+        rng = np.random.default_rng(110)
+        for n in range(1, 33):
+            x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            assert _norm2(x) == np.linalg.norm(x)
+
 
 class TestCheckStack:
     """The batched residual check of solved matrices and their top pairs."""
@@ -285,6 +311,24 @@ class TestCheckStack:
             vecs[1, 0] = np.nan
         with pytest.raises(ArithmeticError, match="residual nan"):
             check_stack(w, lam, vecs)
+
+    @staticmethod
+    def off_by(lam, factor):
+        """Three copies of diag(0, lam - d) with the claimed pair (lam, e2),
+        whose residual d is factor times the tolerance at lam."""
+        d = factor * RESIDUAL_RTOL * max(1.0, lam)
+        w = np.stack([np.diag([0.0, lam - d]).astype(complex)] * 3)
+        return w, np.full(3, lam), np.stack([[0.0, 1.0]] * 3).astype(complex)
+
+    # below 1 the tolerance is absolute, above it relative to the value
+    @pytest.mark.parametrize("lam", [0.5, 1e4])
+    def test_accepts_a_residual_within_the_tolerance(self, lam):
+        check_stack(*self.off_by(lam, 0.9))
+
+    @pytest.mark.parametrize("lam", [0.5, 1e4])
+    def test_rejects_a_residual_beyond_the_tolerance(self, lam):
+        with pytest.raises(ArithmeticError, match="exceeds tolerance"):
+            check_stack(*self.off_by(lam, 1.1))
 
 
 class TestQuadForm:
